@@ -3,9 +3,17 @@
 A manifold is represented by one coordinate chart: a dimension, a domain
 (given through a signed margin function, positive inside), and a map from
 chart points to symmetric positive definite metric coefficients.  Analytic
-first and second metric derivatives may be attached; finite differences
-are used otherwise.  Runs that leave the chart domain are truncated with
-an explicit flag, never continued.
+first metric derivatives may be attached; finite differences are used
+otherwise.  Runs that leave the chart domain are truncated with an
+explicit flag, never continued.
+
+``ChartMetric.metric`` is the cheap evaluation the flows' right-hand
+sides make at every stage: it checks the point's shape and domain and
+returns the coefficients.  ``ChartMetric.validate`` adds the symmetry and
+positive-definiteness checks.  The flows run it where states are
+accepted: at their start state and at every chunk boundary, where the
+frames are re-orthonormalized.  Between chunk boundaries the chart-exit
+event keeps accepted states in the domain.
 """
 
 from __future__ import annotations
@@ -37,17 +45,19 @@ class ChartMetric:
 
     ``g(x)`` returns the n-by-n metric coefficient array.  ``dg(x)``, when
     present, returns an (n, n, n) array with ``dg[k]`` the partial of ``g``
-    along coordinate ``k``; ``d2g(x)`` returns (n, n, n, n) with
-    ``d2g[k, l]`` the mixed second partial.  ``margin(x)`` is positive on
-    the domain interior and crosses zero at the boundary; it doubles as the
+    along coordinate ``k``.  ``margin(x)`` is positive on the domain
+    interior and crosses zero at the boundary; it doubles as the
     integrator's chart-exit event function.  ``kappa``, when present, is an
     analytic Gaussian curvature (2D charts only).
+
+    ``metric`` does not check that the coefficients are symmetric positive
+    definite; ``validate`` does, and the flows call it at their start state
+    and at every chunk boundary.
     """
 
     dim: int
     g: Callable[[Array], Array]
     dg: Optional[Callable[[Array], Array]] = None
-    d2g: Optional[Callable[[Array], Array]] = None
     margin: Callable[[Array], float] = _default_margin
     kappa: Optional[Callable[[Array], float]] = None
     label: str = ""
@@ -67,9 +77,15 @@ class ChartMetric:
         return x
 
     def metric(self, x: Array) -> Array:
-        """Metric coefficients at ``x``, checked for symmetry and positivity."""
-        x = self.check_point(x)
-        gx = np.asarray(self.g(x), dtype=float)
+        """Metric coefficients at ``x``; the point is checked, the values not."""
+        return np.asarray(self.g(self.check_point(x)), dtype=float)
+
+    def validate(self, x: Array) -> Array:
+        """Metric coefficients at ``x``, checked for symmetry and positivity.
+
+        Raises :class:`SingularMetricError` naming the point and the chart.
+        """
+        gx = self.metric(x)
         if not np.allclose(gx, gx.T, atol=1e-12):
             raise SingularMetricError(f"metric not symmetric at {x} on '{self.label}'")
         try:
@@ -106,12 +122,10 @@ def fd_step(x: Array, scale: float = 1e-5) -> float:
 def euclidean(n: int = 2) -> ChartMetric:
     eye = np.eye(n)
     zeros1 = np.zeros((n, n, n))
-    zeros2 = np.zeros((n, n, n, n))
     return ChartMetric(
         dim=n,
         g=lambda x: eye,
         dg=lambda x: zeros1,
-        d2g=lambda x: zeros2,
         kappa=(lambda x: 0.0) if n == 2 else None,
         label=f"euclidean({n})",
         params={"n": n},
@@ -135,16 +149,10 @@ def sphere(r: float = 1.0, band: float = 0.02) -> ChartMetric:
         out[0, 1, 1] = 2 * r2 * np.sin(x[0]) * np.cos(x[0])
         return out
 
-    def d2g(x):
-        out = np.zeros((2, 2, 2, 2))
-        out[0, 0, 1, 1] = 2 * r2 * np.cos(2 * x[0])
-        return out
-
     return ChartMetric(
         dim=2,
         g=g,
         dg=dg,
-        d2g=d2g,
         margin=lambda x: min(x[0] - band, np.pi - band - x[0]),
         kappa=lambda x: 1.0 / r2,
         label=f"sphere({r:g})",
@@ -197,20 +205,11 @@ def paraboloid(c: float = 1.0) -> ChartMetric:
                     out[k, i, j] = c2 * ((i == k) * x[j] + x[i] * (j == k))
         return out
 
-    def d2g(x):
-        out = np.zeros((2, 2, 2, 2))
-        for k in range(2):
-            for l in range(2):
-                for i in range(2):
-                    for j in range(2):
-                        out[k, l, i, j] = c2 * ((i == k) * (j == l) + (i == l) * (j == k))
-        return out
-
     def kappa(x):
         return c2 / (1.0 + c2 * (x @ x)) ** 2
 
     return ChartMetric(
-        dim=2, g=g, dg=dg, d2g=d2g, kappa=kappa,
+        dim=2, g=g, dg=dg, kappa=kappa,
         label=f"paraboloid({c:g})", params={"c": c},
     )
 

@@ -46,7 +46,7 @@ RHO_FLOOR = 1e-3
 
 def pair(A: Array, B: Array) -> float:
     """The so(n) inner product <A, B> = tr(A^T B) / 2."""
-    return 0.5 * float(np.tensordot(A, B))
+    return 0.5 * float(np.vdot(A, B))
 
 
 def skew_to_vec(lam: Array) -> Array:
@@ -213,6 +213,8 @@ def integrate_geodesic(
     chart, chart_hat = s0.cfg.chart, s0.cfg.chart_hat
     n = chart.dim
     m = n * n
+    chart.validate(s0.cfg.x)
+    chart_hat.validate(s0.cfg.xhat)
 
     def rhs(t, z):
         return geodesic_rhs(chart, chart_hat, t, z)
@@ -224,9 +226,9 @@ def integrate_geodesic(
         z = z.copy()
         f = z[2 * n:2 * n + m].reshape(n, n)
         fhat = z[2 * n + m:2 * n + 2 * m].reshape(n, n)
-        z[2 * n:2 * n + m] = so_projection(f, chart.metric(z[:n])).ravel()
+        z[2 * n:2 * n + m] = so_projection(f, chart.validate(z[:n])).ravel()
         z[2 * n + m:2 * n + 2 * m] = so_projection(
-            fhat, chart_hat.metric(z[n:2 * n])).ravel()
+            fhat, chart_hat.validate(z[n:2 * n])).ravel()
         return z
 
     traj = integrate(rhs, pack_state(s0), T, tol, margin=margin,
@@ -363,6 +365,8 @@ def reduce_2d(
     chart, chart_hat = s0.cfg.chart, s0.cfg.chart_hat
     if chart.dim != 2:
         raise DimensionError("reduce_2d requires surfaces")
+    chart.validate(s0.cfg.x)
+    chart_hat.validate(s0.cfg.xhat)
     a = s0.a
     singular = [False]
 
@@ -400,8 +404,8 @@ def reduce_2d(
 
     def reproject(z):
         z = z.copy()
-        z[4:8] = so_projection(z[4:8].reshape(2, 2), chart.metric(z[0:2])).ravel()
-        z[8:12] = so_projection(z[8:12].reshape(2, 2), chart_hat.metric(z[2:4])).ravel()
+        z[4:8] = so_projection(z[4:8].reshape(2, 2), chart.validate(z[0:2])).ravel()
+        z[8:12] = so_projection(z[8:12].reshape(2, 2), chart_hat.validate(z[2:4])).ravel()
         return z
 
     z0 = np.concatenate([
@@ -453,32 +457,30 @@ def closed_form_b(run: PendulumRun, ts, A: float, phi0: float) -> tuple[Array, A
     return b1, b2
 
 
-def pendulum_residual(run: PendulumRun, A: float, phi0: float, samples: int = 200) -> float:
+def pendulum_residual(run: PendulumRun, A: float, phi0: float, samples: int = 400) -> float:
     """Sup residual of the pendulum form along a reduced run.
 
     Uses Ldot = a b2 for the left-hand side (no second differences) and
-    recomputes the memory force by trapezoidal quadrature of its defining
+    recomputes the memory force by Simpson quadrature of its defining
     integrand on the sample grid, independently of the carried channels.
+    Simpson's O(dt^4) error keeps the quadrature below the pendulum
+    thresholds on curved targets, where the memory integrand is nonzero.
     """
     ts = run.grid(samples)
     ch = run.channels(ts)
     a = run.a
     th = ch["theta"]
-    # independent trapezoid route for the memory channels
-    gap = ch["kappa"] - ch["kappahat"]
-    rho = 1.0 / gap
+    rho = 1.0 / (ch["kappa"] - ch["kappahat"])
     h = 1e-6
-    kapdot = np.empty(len(ts))
-    kaphatdot = np.empty(len(ts))
-    for i, t in enumerate(np.clip(ts, run.traj.t0 + h, run.traj.t1 - h)):
-        cm = run.channels([t - h, t + h])
-        kapdot[i] = (cm["kappa"][1] - cm["kappa"][0]) / (2 * h)
-        kaphatdot[i] = (cm["kappahat"][1] - cm["kappahat"][0]) / (2 * h)
+    tc = np.clip(ts, run.traj.t0 + h, run.traj.t1 - h)
+    lo, hi = run.channels(tc - h), run.channels(tc + h)
+    kapdot = (hi["kappa"] - lo["kappa"]) / (2 * h)
+    kaphatdot = (hi["kappahat"] - lo["kappahat"]) / (2 * h)
     w = rho * rho * (ch["kappa"] * kaphatdot - kapdot * ch["kappahat"])
-    from scipy.integrate import cumulative_trapezoid
+    from scipy.integrate import cumulative_simpson
 
-    C = cumulative_trapezoid(np.cos(th) * w, ts, initial=0.0)
-    S = cumulative_trapezoid(np.sin(th) * w, ts, initial=0.0)
+    C = cumulative_simpson(np.cos(th) * w, x=ts, initial=0.0)
+    S = cumulative_simpson(np.sin(th) * w, x=ts, initial=0.0)
     F = np.sin(th) * C - np.cos(th) * S
     res = a * ch["b2"] - A * np.sin(th - phi0) - a * a * F
     return float(np.abs(res).max())
@@ -520,6 +522,7 @@ def rn_rolling_flow(
     m = n * n
     lam0 = np.asarray(lam0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
+    chart.validate(x0)
 
     if form == "a":
         def force(x, f, u, w):
@@ -557,7 +560,7 @@ def rn_rolling_flow(
 
     def reproject(z):
         z = z.copy()
-        z[n:n + m] = so_projection(z[n:n + m].reshape(n, n), chart.metric(z[:n])).ravel()
+        z[n:n + m] = so_projection(z[n:n + m].reshape(n, n), chart.validate(z[:n])).ravel()
         return z
 
     z0 = np.concatenate([np.asarray(x0, float), np.asarray(f0, float).ravel(),

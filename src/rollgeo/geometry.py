@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import Array, ChartMetric, fd_step
-from .errors import DimensionError, FrameError
+from .errors import DimensionError, FrameError, SingularMetricError
 
 FRAME_TOL = 1e-8
 
@@ -54,7 +54,7 @@ class FramePoint:
         object.__setattr__(self, "f", np.asarray(self.f, dtype=float))
 
     def validate(self, chart: ChartMetric, tol: float = FRAME_TOL) -> None:
-        gx = chart.metric(self.x)
+        gx = chart.validate(self.x)
         defect = self.f.T @ gx @ self.f - np.eye(chart.dim)
         if np.abs(defect).max() > tol:
             raise FrameError(
@@ -64,14 +64,8 @@ class FramePoint:
             raise FrameError(f"frame not positively oriented at {self.x}")
 
 
-def orthonormality_defect(chart: ChartMetric, x: Array, f: Array) -> float:
-    gx = chart.metric(x)
-    return float(np.abs(f.T @ gx @ f - np.eye(chart.dim)).max())
-
-
 def christoffel(chart: ChartMetric, x: Array) -> Array:
     """Levi-Civita symbols Gamma^k_ij of the chart metric at ``x``."""
-    x = chart.check_point(x)
     gx = chart.metric(x)
     dgx = chart.metric_deriv(x)
     ginv = np.linalg.inv(gx)
@@ -165,7 +159,7 @@ def orthonormal_frame_at(chart: ChartMetric, x: Array, seed: Array | None = None
     if seed is None:
         seed = np.eye(n)
     seed = np.asarray(seed, dtype=float)
-    gx = chart.metric(x)
+    gx = chart.validate(x)
     if abs(np.linalg.det(seed)) < 1e-12:
         raise FrameError("seed basis is degenerate")
     cols = []
@@ -187,10 +181,15 @@ def cholesky_frame(chart: ChartMetric, x: Array) -> Array:
     """The canonical orthonormal frame E(x) = L(x)^-T with g = L L^T.
 
     Smooth in ``x`` wherever the metric is, which makes it suitable as a
-    reference section of the frame bundle.
+    reference section of the frame bundle.  The factorization doubles as
+    the positivity check of the metric at ``x``.
     """
-    gx = chart.metric(x)
-    L = np.linalg.cholesky(gx)
+    try:
+        L = np.linalg.cholesky(chart.metric(x))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetricError(
+            f"metric not positive definite at {x} on '{chart.label}'"
+        ) from exc
     return np.linalg.inv(L).T
 
 

@@ -195,6 +195,8 @@ def develop(
     chart, chart_hat = cfg0.chart, cfg0.chart_hat
     if np.abs(np.asarray(curve(0.0), float) - cfg0.x).max() > 1e-9:
         raise ValueError("curve(0) does not match the starting configuration")
+    chart.validate(cfg0.x)
+    chart_hat.validate(cfg0.xhat)
 
     def rhs(t, z):
         xhat = z[:n]
@@ -219,8 +221,8 @@ def develop(
         x = np.asarray(curve(z[-1]), float)
         f = z[n:n + n * n].reshape(n, n)
         fhat = z[n + n * n:n + 2 * n * n].reshape(n, n)
-        z[n:n + n * n] = so_projection(f, chart.metric(x)).ravel()
-        z[n + n * n:n + 2 * n * n] = so_projection(fhat, chart_hat.metric(z[:n])).ravel()
+        z[n:n + n * n] = so_projection(f, chart.validate(x)).ravel()
+        z[n + n * n:n + 2 * n * n] = so_projection(fhat, chart_hat.validate(z[:n])).ravel()
         return z
 
     z0 = np.concatenate([cfg0.xhat, cfg0.f.ravel(), cfg0.fhat.ravel(), [0.0]])

@@ -187,8 +187,12 @@ def _solve_single(prob: ShootingProblem, p: Array) -> ShootingResult:
             break
         # truncated least squares: endpoint degeneracies (such as the
         # field component along the contact velocity on a straight roll)
-        # produce near-null Jacobian directions that must not be chased
-        step, *_ = np.linalg.lstsq(J, -r, rcond=1e-6)
+        # produce near-null Jacobian directions that must not be chased.
+        # The cutoff sits below the weakest real direction: singular
+        # values down to about 1e-6 of the largest occur on solvable
+        # problems, and dropping them stalls the solve just above its
+        # tolerance.
+        step, *_ = np.linalg.lstsq(J, -r, rcond=1e-9)
         # trust region: wild steps produce absurd trial trajectories (for
         # example an enormous charge) that are expensive to integrate
         if np.linalg.norm(step) > STEP_CAP:

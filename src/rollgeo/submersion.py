@@ -38,7 +38,9 @@ class SubmersionTestbed:
     components of the horizontal lift of d_{x_i}.  ``dA``, when present,
     returns the pair ``(dAx, dAy)`` with ``dAx[j] = d A / d x_j`` and
     ``dAy[m] = d A / d y_m``; finite differences are used otherwise.
-    ``margin(x, y)`` is positive on the working domain.
+    ``margin(x, y)`` is positive on the working domain.  ``validate(x, y)``
+    checks a flow's start state and raises if the testbed's data are
+    unusable there; the flows call it once, before integrating.
     """
 
     base_dim: int
@@ -46,6 +48,7 @@ class SubmersionTestbed:
     A: Callable[[Array, Array], Array]
     dA: Optional[Callable[[Array, Array], tuple[Array, Array]]] = None
     margin: Callable[[Array, Array], float] = lambda x, y: 1.0
+    validate: Callable[[Array, Array], None] = lambda x, y: None
     label: str = ""
     params: dict = field(default_factory=dict)
 
@@ -219,6 +222,7 @@ def lifted_hamiltonian_flow(
     presentation is recovered per sample with :func:`canonical_to_state`.
     """
     n = tb.base_dim
+    tb.validate(s0.x, s0.y)
 
     def rhs(t, z):
         x, y, Px, Py = _unpack(tb, z)
@@ -304,6 +308,7 @@ def projected_force_flow(
     n, nu = tb.base_dim, tb.fiber_dim
     if y0 is None:
         y0 = np.zeros(nu)
+    tb.validate(np.asarray(x0, float), np.asarray(y0, float))
 
     def rhs(t, z):
         x, a, b, y = z[:n], z[n:2 * n], z[2 * n:2 * n + nu], z[2 * n + nu:]
@@ -462,8 +467,12 @@ def frame_bundle(chart: ChartMetric, chart_hat: ChartMetric) -> SubmersionTestbe
     def margin(x, y):
         return min(chart.margin(x), chart_hat.margin(y[1:3]))
 
+    def validate(x, y):
+        chart.validate(x)
+        chart_hat.validate(y[1:3])
+
     return SubmersionTestbed(
-        base_dim=2, fiber_dim=4, A=A, margin=margin,
+        base_dim=2, fiber_dim=4, A=A, margin=margin, validate=validate,
         label=f"frame-bundle({chart.label},{chart_hat.label})",
         params={"chart": chart.label, "chart_hat": chart_hat.label},
     )

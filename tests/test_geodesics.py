@@ -201,6 +201,16 @@ class TestPendulumForm:
         A, phi0 = pendulum_constants(red)
         assert pendulum_residual(red, A, phi0) < 1e-5
 
+    def test_pendulum_residual_curved_target(self):
+        # On a curved second surface the memory integrand is nonzero, so the
+        # residual measures the quadrature of the memory force.
+        cfg = aligned_configuration(SPHERE, charts.paraboloid(1.0),
+                                    np.array([np.pi / 2, 0.0]), np.array([0.3, 0.2]))
+        s0 = Pendulum2DState(cfg=cfg, theta=0.9, L=0.1, b1=0.05, b2=-0.03, a=1.0)
+        red = reduce_2d(s0, 5.0)
+        A, phi0 = pendulum_constants(red)
+        assert pendulum_residual(red, A, phi0) < 1e-5
+
     def test_memory_channel_zero_for_proportional_curvatures(self):
         # kappahat = 0 * kappa on sphere-on-plane: the memory integrand
         # vanishes identically and the channels stay at zero.

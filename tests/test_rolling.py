@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from rollgeo import charts
-from rollgeo.errors import FrameError
+from rollgeo.charts import ChartMetric
+from rollgeo.errors import FrameError, SingularMetricError
+from rollgeo.geodesics import (
+    E2,
+    Pendulum2DState,
+    RollingGeodesicState,
+    integrate_geodesic,
+    reduce_2d,
+)
 from rollgeo.geometry import christoffel, gauss_curvature
 from rollgeo.integrate import integrate
 from rollgeo.rolling import (
@@ -13,6 +21,12 @@ from rollgeo.rolling import (
     distribution_basis,
     noslip_notwist_residual,
     so_projection,
+)
+from rollgeo.submersion import (
+    CotangentState,
+    frame_bundle,
+    free_hamiltonian,
+    lifted_hamiltonian_flow,
 )
 from rollgeo.transport import gamma_contract
 
@@ -274,3 +288,66 @@ class TestCurvatureGap:
         rep = curvature_gap(cfg)
         want = gauss_curvature(chart, cfg.x) - gauss_curvature(SPHERE, cfg.xhat)
         assert rep["map"][0, 0] == pytest.approx(want, abs=1e-7)
+
+
+class TestMetricValidation:
+    """The flows check the chart metric at their start and chunk boundaries."""
+
+    BAD_CHARTS = {
+        "indefinite": ChartMetric(dim=2, g=lambda x: np.diag([1.0, -0.5]),
+                                  dg=lambda x: np.zeros((2, 2, 2)), label="indefinite"),
+        "non-symmetric": ChartMetric(dim=2, g=lambda x: np.array([[1.0, 0.1], [0.0, 1.0]]),
+                                     dg=lambda x: np.zeros((2, 2, 2)),
+                                     label="non-symmetric"),
+    }
+
+    @staticmethod
+    def _start(chart):
+        return RollingConfiguration(chart=chart, chart_hat=PLANE, x=np.zeros(2),
+                                    xhat=np.zeros(2), f=np.eye(2), fhat=np.eye(2))
+
+    @pytest.mark.parametrize("chart_name", sorted(BAD_CHARTS))
+    @pytest.mark.parametrize("flow", ["geodesic", "reduce_2d", "develop", "lift"])
+    def test_bad_start_metric_rejected(self, chart_name, flow):
+        cfg = self._start(self.BAD_CHARTS[chart_name])
+        direction = np.array([1.0, 0.0])
+        with pytest.raises(SingularMetricError, match=chart_name):
+            if flow == "geodesic":
+                integrate_geodesic(RollingGeodesicState(cfg=cfg, u=direction,
+                                                        v=np.zeros(2), lam=0.1 * E2), 1.0)
+            elif flow == "reduce_2d":
+                reduce_2d(Pendulum2DState(cfg=cfg, theta=0.0, L=0.1, b1=0.0, b2=0.0,
+                                          a=1.0), 1.0)
+            elif flow == "develop":
+                develop(cfg, lambda t: t * direction, lambda t: direction, 1.0)
+            else:
+                s0 = CotangentState(x=np.zeros(2), y=np.zeros(4), a=direction,
+                                    b=np.zeros(4))
+                lifted_hamiltonian_flow(frame_bundle(cfg.chart, PLANE),
+                                        free_hamiltonian(2), s0, 1.0)
+
+    def test_canonical_frame_rejects_indefinite_metric(self):
+        with pytest.raises(SingularMetricError, match="indefinite"):
+            aligned_configuration(self.BAD_CHARTS["indefinite"], PLANE,
+                                  np.zeros(2), np.zeros(2))
+
+    def test_degenerating_metric_caught_at_chunk_boundary(self):
+        # g = diag(1, 1 - x0) turns indefinite past x0 = 1.  Its derivative is
+        # supplied as zero, so the transport stays smooth through the
+        # degeneracy and only the metric check can see it.
+        chart = ChartMetric(dim=2, g=lambda x: np.diag([1.0, 1.0 - x[0]]),
+                            dg=lambda x: np.zeros((2, 2, 2)), label="degenerating")
+        x0 = np.array([0.6, 0.0])
+        direction = np.array([1.0, 0.0])
+        clocks = []
+
+        def curve(t):
+            clocks.append(t)
+            return x0 + t * direction
+
+        cfg = RollingConfiguration(chart=chart, chart_hat=PLANE, x=x0, xhat=np.zeros(2),
+                                   f=np.diag([1.0, 1.0 / np.sqrt(0.4)]), fhat=np.eye(2))
+        with pytest.raises(SingularMetricError, match="degenerating"):
+            develop(cfg, curve, lambda t: direction, 2.0)
+        # x0 passes 1 at t = 0.4; the first chunk boundary is at t = 0.5
+        assert max(clocks) <= 0.5 + 1e-8

@@ -124,3 +124,17 @@ class TestSolve:
         r2 = solve(prob)
         assert r1.residual == r2.residual
         assert np.array_equal(r1.params, r2.params)
+
+    def test_weak_jacobian_direction_kept(self):
+        # The endpoint Jacobian here has singular values near
+        # (2.98, 0.25, 3.4e-3, 2.8e-6); a least-squares cutoff that drops the
+        # last one stalls the solve just above its tolerance.
+        chart = charts.paraboloid(1.0)
+        cfg0 = aligned_configuration(chart, PLANE, np.array([0.4, 0.1]), np.zeros(2))
+        true_p = np.array([4.15, 0.17259, -0.11712, 0.07805])
+        target = endpoint_map(cfg0, true_p[0], true_p[1:3], true_p[3], T=2.0)
+        prob = ShootingProblem(cfg0=cfg0, cfg1=target, T=2.0, tol=1e-8, seed=0)
+        rng = np.random.default_rng(0)
+        res = solve(prob, p0=true_p + rng.uniform(-1e-2, 1e-2, size=4))
+        assert res.status == "converged"
+        assert res.residual < 1e-8
