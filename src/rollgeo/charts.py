@@ -63,9 +63,6 @@ class ChartMetric:
     label: str = ""
     params: dict = field(default_factory=dict)
 
-    def domain(self, x: Array) -> bool:
-        return bool(self.margin(np.asarray(x, dtype=float)) > 0.0)
-
     def check_point(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
@@ -101,19 +98,28 @@ class ChartMetric:
         x = self.check_point(x)
         if self.dg is not None:
             return np.asarray(self.dg(x), dtype=float)
-        n = self.dim
-        h = fd_step(x)
-        out = np.empty((n, n, n))
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = h
-            out[k] = (np.asarray(self.g(x + e)) - np.asarray(self.g(x - e))) / (2 * h)
-        return out
+        return central_diff(lambda p: np.asarray(self.g(p)), x)
 
 
 def fd_step(x: Array, scale: float = 1e-5) -> float:
     """Default central-difference step, relative to the point's size."""
     return scale * (1.0 + float(np.linalg.norm(x)))
+
+
+def central_diff(fn: Callable[[Array], Array], x: Array, h: Optional[float] = None) -> Array:
+    """Central-difference partials of ``fn`` at ``x``, stacked along axis 0.
+
+    Entry ``k`` is ``(fn(x + h e_k) - fn(x - h e_k)) / (2 h)``; the step
+    defaults to ``fd_step(x)``.
+    """
+    x = np.asarray(x, dtype=float)
+    h = fd_step(x) if h is None else h
+    parts = []
+    for k in range(len(x)):
+        e = np.zeros(len(x))
+        e[k] = h
+        parts.append((fn(x + e) - fn(x - e)) / (2 * h))
+    return np.array(parts, dtype=float)
 
 
 # ---------------------------------------------------------------------------

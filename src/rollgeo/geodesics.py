@@ -25,9 +25,11 @@ which is what ``reduce_2d`` integrates directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
 import numpy as np
 
-from .charts import Array, ChartMetric, fd_step
+from .charts import Array, ChartMetric, central_diff
 from .errors import DimensionError
 from .geometry import (
     christoffel,
@@ -35,7 +37,8 @@ from .geometry import (
     gauss_curvature,
     riemann,
 )
-from .integrate import DEFAULT_TOL, Trajectory, integrate
+from .integrate import DEFAULT_TOL, DERIV_STEP, Skew, StateLayout, Trajectory, integrate
+from .integrate import skew_to_vec, vec_to_skew  # noqa: F401 (re-exported)
 from .rolling import RollingConfiguration, so_projection
 from .transport import gamma_contract
 
@@ -49,21 +52,38 @@ def pair(A: Array, B: Array) -> float:
     return 0.5 * float(np.vdot(A, B))
 
 
-def skew_to_vec(lam: Array) -> Array:
-    """Strictly-upper-triangle coordinates of a skew matrix, row by row."""
-    n = lam.shape[0]
-    return np.array([lam[i, j] for i in range(n) for j in range(i + 1, n)])
+@lru_cache(maxsize=None)
+def geodesic_layout(n: int) -> StateLayout:
+    """State of the normal-geodesic system: ``[x, xhat, f, fhat, u, v, lam]``."""
+    return StateLayout(x=n, xhat=n, f=(n, n), fhat=(n, n), u=n, v=n, lam=Skew(n))
 
 
-def vec_to_skew(vec: Array, n: int) -> Array:
-    lam = np.zeros((n, n))
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            lam[i, j] = vec[k]
-            lam[j, i] = -vec[k]
-            k += 1
-    return lam
+# Reduced 2D system: the contact geometry, the scalar variables, and the
+# C and S quadrature slots of the memory force.
+PENDULUM_LAYOUT = StateLayout(x=2, xhat=2, f=(2, 2), fhat=(2, 2), theta=(), L=(),
+                              b1=(), b2=(), C=(), S=())
+
+
+@lru_cache(maxsize=None)
+def rn_layout(n: int) -> StateLayout:
+    """State of rolling on flat space: ``[x, f, u, w]``."""
+    return StateLayout(x=n, f=(n, n), u=n, w=n)
+
+
+def _contact_hooks(layout: StateLayout, chart: ChartMetric, chart_hat: ChartMetric):
+    """Chart-exit margin and frame reprojection on the x, xhat, f, fhat slots."""
+    def margin(z):
+        d = layout.split(z)
+        return min(chart.margin(d["x"]), chart_hat.margin(d["xhat"]))
+
+    def reproject(z):
+        z = z.copy()
+        d = layout.split(z)
+        d["f"][:] = so_projection(d["f"], chart.validate(d["x"]))
+        d["fhat"][:] = so_projection(d["fhat"], chart_hat.validate(d["xhat"]))
+        return z
+
+    return margin, reproject
 
 
 @dataclass(frozen=True)
@@ -145,18 +165,7 @@ class GeodesicRun:
         return self.traj.truncated
 
     def split(self, z: Array) -> dict:
-        n = self.dim
-        m = n * n
-        out = {
-            "x": z[:n],
-            "xhat": z[n:2 * n],
-            "f": z[2 * n:2 * n + m].reshape(n, n),
-            "fhat": z[2 * n + m:2 * n + 2 * m].reshape(n, n),
-            "u": z[2 * n + 2 * m:3 * n + 2 * m],
-            "v": z[3 * n + 2 * m:4 * n + 2 * m],
-        }
-        out["lam"] = vec_to_skew(z[4 * n + 2 * m:], n)
-        return out
+        return geodesic_layout(self.dim).split(z)
 
     def state(self, t: float) -> RollingGeodesicState:
         d = self.split(self.traj.sample([t])[0])
@@ -172,22 +181,12 @@ class GeodesicRun:
         return self.traj.grid(m)
 
 
-def pack_state(s: RollingGeodesicState) -> Array:
-    return np.concatenate([
-        s.cfg.x, s.cfg.xhat, s.cfg.f.ravel(), s.cfg.fhat.ravel(),
-        s.u, s.v, skew_to_vec(s.lam),
-    ])
-
-
 def geodesic_rhs(chart: ChartMetric, chart_hat: ChartMetric, t: float, z: Array) -> Array:
     n = chart.dim
-    m = n * n
-    x, xhat = z[:n], z[n:2 * n]
-    f = z[2 * n:2 * n + m].reshape(n, n)
-    fhat = z[2 * n + m:2 * n + 2 * m].reshape(n, n)
-    u = z[2 * n + 2 * m:3 * n + 2 * m]
-    v = z[3 * n + 2 * m:4 * n + 2 * m]
-    lam = vec_to_skew(z[4 * n + 2 * m:], n)
+    layout = geodesic_layout(n)
+    d = layout.split(z)
+    x, xhat, f, fhat = d["x"], d["xhat"], d["f"], d["fhat"]
+    u, v, lam = d["u"], d["v"], d["lam"]
 
     xdot = f @ u
     xhatdot = fhat @ u
@@ -198,9 +197,8 @@ def geodesic_rhs(chart: ChartMetric, chart_hat: ChartMetric, t: float, z: Array)
     omhat = curvature_forms_along(chart_hat, xhat, fhat, xhatdot)
     udot = np.array([pair(lam, om[j] - omhat[j]) for j in range(n)])
     vdot = np.array([pair(lam, omhat[j]) for j in range(n)])
-    lamdot = np.outer(u, v) - np.outer(v, u)
-    return np.concatenate([xdot, xhatdot, fdot.ravel(), fhatdot.ravel(),
-                           udot, vdot, skew_to_vec(lamdot)])
+    return layout.pack(x=xdot, xhat=xhatdot, f=fdot, fhat=fhatdot, u=udot, v=vdot,
+                       lam=np.outer(u, v) - np.outer(v, u))
 
 
 def integrate_geodesic(
@@ -211,51 +209,39 @@ def integrate_geodesic(
 ) -> GeodesicRun:
     """Integrate the normal-geodesic system from ``s0`` for time ``T``."""
     chart, chart_hat = s0.cfg.chart, s0.cfg.chart_hat
-    n = chart.dim
-    m = n * n
+    layout = geodesic_layout(chart.dim)
     chart.validate(s0.cfg.x)
     chart_hat.validate(s0.cfg.xhat)
 
     def rhs(t, z):
         return geodesic_rhs(chart, chart_hat, t, z)
 
-    def margin(z):
-        return min(chart.margin(z[:n]), chart_hat.margin(z[n:2 * n]))
-
-    def reproject(z):
-        z = z.copy()
-        f = z[2 * n:2 * n + m].reshape(n, n)
-        fhat = z[2 * n + m:2 * n + 2 * m].reshape(n, n)
-        z[2 * n:2 * n + m] = so_projection(f, chart.validate(z[:n])).ravel()
-        z[2 * n + m:2 * n + 2 * m] = so_projection(
-            fhat, chart_hat.validate(z[n:2 * n])).ravel()
-        return z
-
-    traj = integrate(rhs, pack_state(s0), T, tol, margin=margin,
-                     reproject=reproject, max_step=max_step)
-    traj.meta["charts"] = (chart.label, chart_hat.label)
+    margin, reproject = _contact_hooks(layout, chart, chart_hat)
+    z0 = layout.pack(x=s0.cfg.x, xhat=s0.cfg.xhat, f=s0.cfg.f, fhat=s0.cfg.fhat,
+                     u=s0.u, v=s0.v, lam=s0.lam)
+    traj = integrate(rhs, z0, T, tol, margin=margin, reproject=reproject,
+                     max_step=max_step)
     return GeodesicRun(chart=chart, chart_hat=chart_hat, traj=traj)
 
 
-def theorem_residual(run: GeodesicRun, samples: int = 100) -> float:
-    """Sup residual of the geodesic equations along the dense output.
+def flow_residual(run: GeodesicRun, ts) -> Array:
+    """Residual of the geodesic equations at each time in ``ts``.
 
     Differentiates the carried u, v and charge slots by central
     differences of the interpolant and compares with the right-hand side
     recomputed from the sampled state.
     """
-    n = run.dim
-    m = n * n
-    h = 1e-6
-    ts = np.clip(run.grid(samples), run.traj.t0 + h, run.traj.t1 - h)
-    worst = 0.0
-    for t in ts:
-        zm, z0, zp = run.traj.sample([t - h, t, t + h])
-        want = geodesic_rhs(run.chart, run.chart_hat, t, z0)
-        got = (zp - zm) / (2 * h)
-        sl = slice(2 * n + 2 * m, None)  # u, v, lam slots
-        worst = max(worst, float(np.abs(got[sl] - want[sl]).max()))
-    return worst
+    start = geodesic_layout(run.dim).slices["u"].start  # the u, v and lam slots
+    ts, zs, dzs = run.traj.derivative(ts)
+    return np.array([
+        np.abs(dz[start:] - geodesic_rhs(run.chart, run.chart_hat, t, z)[start:]).max()
+        for t, z, dz in zip(ts, zs, dzs)
+    ])
+
+
+def theorem_residual(run: GeodesicRun, samples: int = 100) -> float:
+    """Sup residual of the geodesic equations along the dense output."""
+    return float(flow_residual(run, run.grid(samples)).max())
 
 
 def vtilde_symmetry_check(run: GeodesicRun, samples: int = 100) -> dict:
@@ -268,55 +254,37 @@ def vtilde_symmetry_check(run: GeodesicRun, samples: int = 100) -> dict:
         d/dt (v + u)_j = <lam, Om(f u, f_j)>.
     """
     n = run.dim
-    m = n * n
-    h = 1e-6
-    ts = np.clip(run.grid(samples), run.traj.t0 + h, run.traj.t1 - h)
+    _, zs, dzs = run.traj.derivative(run.grid(samples))
     res_lam = res_v = 0.0
-    for t in ts:
-        zm, z0, zp = run.traj.sample([t - h, t, t + h])
-        d = run.split(z0)
+    for z, dz in zip(zs, dzs):
+        d, dot = run.split(z), run.split(dz)
         u, v, lam = d["u"], d["v"], d["lam"]
         vt = v + u
-        dm, dp = run.split(zm), run.split(zp)
-        lamdot = (dp["lam"] - dm["lam"]) / (2 * h)
         want_lam = np.outer(u, vt) - np.outer(vt, u)
-        res_lam = max(res_lam, float(np.abs(lamdot - want_lam).max()))
-        vtdot = ((dp["v"] + dp["u"]) - (dm["v"] + dm["u"])) / (2 * h)
+        res_lam = max(res_lam, float(np.abs(dot["lam"] - want_lam).max()))
         om = curvature_forms_along(run.chart, d["x"], d["f"], d["f"] @ u)
         want_vt = np.array([pair(lam, om[j]) for j in range(n)])
-        res_v = max(res_v, float(np.abs(vtdot - want_vt).max()))
+        res_v = max(res_v, float(np.abs(dot["v"] + dot["u"] - want_vt).max()))
     return {"charge": res_lam, "field": res_v}
 
 
 # ---------------------------------------------------------------------------
 # 2D reduction
 
-def _kappa_grad(chart: ChartMetric, x: Array) -> Array:
-    h = fd_step(x)
-    out = np.empty(2)
-    for k in range(2):
-        e = np.zeros(2)
-        e[k] = h
-        out[k] = (gauss_curvature(chart, x + e) - gauss_curvature(chart, x - e)) / (2 * h)
-    return out
-
-
 @dataclass
 class PendulumRun:
     """A reduced 2D run with curvature channels and quadrature slots.
 
-    State layout: ``[x, xhat, f, fhat, theta, L, b1, b2, C, S]`` where C
-    and S accumulate the integrals of cos(theta) w and sin(theta) w with
-    w = rho^2 (kappa kappahatdot - kappadot kappahat), the separated
-    kernel of the memory force.
+    State layout ``PENDULUM_LAYOUT``: ``[x, xhat, f, fhat, theta, L, b1,
+    b2, C, S]`` where C and S accumulate the integrals of cos(theta) w and
+    sin(theta) w with w = rho^2 (kappa kappahatdot - kappadot kappahat),
+    the separated kernel of the memory force.
     """
 
     chart: ChartMetric
     chart_hat: ChartMetric
     a: float
     traj: Trajectory
-
-    IDX = {"theta": 12, "L": 13, "b1": 14, "b2": 15, "C": 16, "S": 17}
 
     @property
     def t1(self) -> float:
@@ -330,21 +298,17 @@ class PendulumRun:
         return self.traj.grid(m)
 
     def channels(self, ts) -> dict:
-        zs = self.traj.sample(ts)
-        out = {name: zs[:, i] for name, i in self.IDX.items()}
-        out["x"] = zs[:, 0:2]
-        out["xhat"] = zs[:, 2:4]
+        out = PENDULUM_LAYOUT.split(self.traj.sample(ts))
         out["kappa"] = np.array([gauss_curvature(self.chart, p) for p in out["x"]])
         out["kappahat"] = np.array([gauss_curvature(self.chart_hat, p) for p in out["xhat"]])
         out["F"] = np.sin(out["theta"]) * out["C"] - np.cos(out["theta"]) * out["S"]
         return out
 
     def state(self, t: float) -> Pendulum2DState:
-        z = self.traj.sample([t])[0]
+        d = PENDULUM_LAYOUT.split(self.traj.sample([t])[0])
         cfg = RollingConfiguration(chart=self.chart, chart_hat=self.chart_hat,
-                                   x=z[0:2], xhat=z[2:4],
-                                   f=z[4:8].reshape(2, 2), fhat=z[8:12].reshape(2, 2))
-        return Pendulum2DState(cfg=cfg, theta=z[12], L=z[13], b1=z[14], b2=z[15],
+                                   x=d["x"], xhat=d["xhat"], f=d["f"], fhat=d["fhat"])
+        return Pendulum2DState(cfg=cfg, theta=d["theta"], L=d["L"], b1=d["b1"], b2=d["b2"],
                                a=self.a)
 
 
@@ -358,9 +322,10 @@ def reduce_2d(
 
     Runs entirely in the scalar variables (theta, L, b1, b2) plus the
     carried contact geometry; the auxiliary C and S slots advance the
-    separated memory-force quadrature alongside the stepper.  Windows
-    where |kappa - kappahat| drops below the floor are flagged in the
-    metadata since the pendulum-form constants divide by it.
+    separated memory-force quadrature alongside the stepper.  Accepted
+    nodes where |kappa - kappahat| is below the floor set the
+    ``rho_singular`` flag in the metadata, since the pendulum-form
+    constants divide by the gap.
     """
     chart, chart_hat = s0.cfg.chart, s0.cfg.chart_hat
     if chart.dim != 2:
@@ -368,18 +333,14 @@ def reduce_2d(
     chart.validate(s0.cfg.x)
     chart_hat.validate(s0.cfg.xhat)
     a = s0.a
-    singular = [False]
 
     def rhs(t, z):
-        x, xhat = z[0:2], z[2:4]
-        f = z[4:8].reshape(2, 2)
-        fhat = z[8:12].reshape(2, 2)
-        theta, L, b1, b2 = z[12:16]
+        d = PENDULUM_LAYOUT.split(z)
+        x, xhat, f, fhat = d["x"], d["xhat"], d["f"], d["fhat"]
+        theta, L, b1, b2 = d["theta"], d["L"], d["b1"], d["b2"]
         kap = gauss_curvature(chart, x)
         kaphat = gauss_curvature(chart_hat, xhat)
         gap = kap - kaphat
-        if abs(gap) < RHO_FLOOR:
-            singular[0] = True
         c, s = np.cos(theta), np.sin(theta)
         u = a * np.array([c, s])
         xdot = f @ u
@@ -390,32 +351,24 @@ def reduce_2d(
         Ldot = a * b2
         b1dot = thetadot * b2
         b2dot = a * L * kaphat - thetadot * b1
-        kapdot = float(_kappa_grad(chart, x) @ xdot)
-        kaphatdot = float(_kappa_grad(chart_hat, xhat) @ xhatdot)
+        kapdot = float(central_diff(lambda p: gauss_curvature(chart, p), x) @ xdot)
+        kaphatdot = float(
+            central_diff(lambda p: gauss_curvature(chart_hat, p), xhat) @ xhatdot)
         rho = 1.0 / gap if abs(gap) >= RHO_FLOOR else 0.0
         w = rho * rho * (kap * kaphatdot - kapdot * kaphat)
-        return np.concatenate([
-            xdot, xhatdot, fdot.ravel(), fhatdot.ravel(),
-            [thetadot, Ldot, b1dot, b2dot, c * w, s * w],
-        ])
+        return PENDULUM_LAYOUT.pack(x=xdot, xhat=xhatdot, f=fdot, fhat=fhatdot,
+                                    theta=thetadot, L=Ldot, b1=b1dot, b2=b2dot,
+                                    C=c * w, S=s * w)
 
-    def margin(z):
-        return min(chart.margin(z[0:2]), chart_hat.margin(z[2:4]))
-
-    def reproject(z):
-        z = z.copy()
-        z[4:8] = so_projection(z[4:8].reshape(2, 2), chart.validate(z[0:2])).ravel()
-        z[8:12] = so_projection(z[8:12].reshape(2, 2), chart_hat.validate(z[2:4])).ravel()
-        return z
-
-    z0 = np.concatenate([
-        s0.cfg.x, s0.cfg.xhat, s0.cfg.f.ravel(), s0.cfg.fhat.ravel(),
-        [s0.theta, s0.L, s0.b1, s0.b2, 0.0, 0.0],
-    ])
+    margin, reproject = _contact_hooks(PENDULUM_LAYOUT, chart, chart_hat)
+    z0 = PENDULUM_LAYOUT.pack(x=s0.cfg.x, xhat=s0.cfg.xhat, f=s0.cfg.f, fhat=s0.cfg.fhat,
+                              theta=s0.theta, L=s0.L, b1=s0.b1, b2=s0.b2, C=0.0, S=0.0)
     traj = integrate(rhs, z0, T, tol, margin=margin, reproject=reproject,
                      max_step=max_step)
-    traj.meta["charts"] = (chart.label, chart_hat.label)
-    traj.meta["rho_singular"] = singular[0]
+    nodes = PENDULUM_LAYOUT.split(traj.y)
+    traj.meta["rho_singular"] = any(
+        abs(gauss_curvature(chart, x) - gauss_curvature(chart_hat, xhat)) < RHO_FLOOR
+        for x, xhat in zip(nodes["x"], nodes["xhat"]))
     return PendulumRun(chart=chart, chart_hat=chart_hat, a=a, traj=traj)
 
 
@@ -471,7 +424,7 @@ def pendulum_residual(run: PendulumRun, A: float, phi0: float, samples: int = 40
     a = run.a
     th = ch["theta"]
     rho = 1.0 / (ch["kappa"] - ch["kappahat"])
-    h = 1e-6
+    h = DERIV_STEP
     tc = np.clip(ts, run.traj.t0 + h, run.traj.t1 - h)
     lo, hi = run.channels(tc - h), run.channels(tc + h)
     kapdot = (hi["kappa"] - lo["kappa"]) / (2 * h)
@@ -516,10 +469,10 @@ def rn_rolling_flow(
         udot_j = <lam0, Om(f u, f_j)> + g(R(f u, f_j) f v0, f (y - y0)),
 
     integrated as an independent code path.  State layout for both:
-    ``[x, f, u, w-or-y]``.
+    ``rn_layout``, ``[x, f, u, w]``, with the w slot holding y in form "b".
     """
     n = chart.dim
-    m = n * n
+    layout = rn_layout(n)
     lam0 = np.asarray(lam0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     chart.validate(x0)
@@ -547,29 +500,25 @@ def rn_rolling_flow(
         raise ValueError("form must be 'a' or 'b'")
 
     def rhs(t, z):
-        x = z[:n]
-        f = z[n:n + m].reshape(n, n)
-        u = z[n + m:2 * n + m]
-        w = z[2 * n + m:]
+        d = layout.split(z)
+        x, f, u = d["x"], d["f"], d["u"]
         xdot = f @ u
         fdot = -gamma_contract(christoffel(chart, x), xdot) @ f
-        return np.concatenate([xdot, fdot.ravel(), force(x, f, u, w), u])
+        return layout.pack(x=xdot, f=fdot, u=force(x, f, u, d["w"]), w=u)
 
     def margin(z):
-        return chart.margin(z[:n])
+        return chart.margin(layout.split(z)["x"])
 
     def reproject(z):
         z = z.copy()
-        z[n:n + m] = so_projection(z[n:n + m].reshape(n, n), chart.validate(z[:n])).ravel()
+        d = layout.split(z)
+        d["f"][:] = so_projection(d["f"], chart.validate(d["x"]))
         return z
 
-    z0 = np.concatenate([np.asarray(x0, float), np.asarray(f0, float).ravel(),
-                         np.asarray(u0, float), np.zeros(n)])
-    traj = integrate(rhs, z0, T, tol, margin=margin, reproject=reproject,
+    z0 = layout.pack(x=np.asarray(x0, float), f=np.asarray(f0, float),
+                     u=np.asarray(u0, float), w=np.zeros(n))
+    return integrate(rhs, z0, T, tol, margin=margin, reproject=reproject,
                      max_step=max_step)
-    traj.meta["chart"] = chart.label
-    traj.meta["form"] = form
-    return traj
 
 
 def charge_monitor(run: GeodesicRun, samples: int = 2000) -> dict:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import Array, ChartMetric, fd_step
+from .charts import Array, ChartMetric, central_diff
 from .errors import DimensionError, FrameError, SingularMetricError
 
 FRAME_TOL = 1e-8
@@ -77,15 +77,7 @@ def christoffel(chart: ChartMetric, x: Array) -> Array:
 
 def christoffel_deriv(chart: ChartMetric, x: Array) -> Array:
     """Partials dGamma[m, k, i, j] = d_m Gamma^k_ij by central differences."""
-    x = chart.check_point(x)
-    n = chart.dim
-    h = fd_step(x)
-    out = np.empty((n, n, n, n))
-    for m in range(n):
-        e = np.zeros(n)
-        e[m] = h
-        out[m] = (christoffel(chart, x + e) - christoffel(chart, x - e)) / (2 * h)
-    return out
+    return central_diff(lambda p: christoffel(chart, p), chart.check_point(x))
 
 
 def riemann(chart: ChartMetric, x: Array) -> tuple[Array, Array]:
@@ -128,8 +120,7 @@ def gauss_curvature(chart: ChartMetric, x: Array) -> float:
     x = chart.check_point(x)
     if chart.kappa is not None:
         return float(chart.kappa(x))
-    _, low = riemann(chart, x)
-    return float(low[0, 1, 0, 1] / np.linalg.det(chart.metric(x)))
+    return gauss_curvature_tensor(chart, x)
 
 
 def gauss_curvature_tensor(chart: ChartMetric, x: Array) -> float:

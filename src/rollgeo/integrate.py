@@ -6,11 +6,15 @@ Integration proceeds in chunks so that state corrections such as frame
 re-orthonormalization can be applied between chunks without disturbing the
 stepper's order, and so that a domain-margin event can truncate a run with
 an explicit flag.
+
+Every flow's state vector is described by one :class:`StateLayout`, and
+the checks differentiate dense output through :meth:`Trajectory.derivative`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,16 +24,96 @@ Array = np.ndarray
 
 DEFAULT_TOL = 1e-9
 
+# Time step of the central differences that the checks take of dense output.
+DERIV_STEP = 1e-6
+
+
+@lru_cache(maxsize=None)
+def _upper(n: int) -> tuple[Array, Array]:
+    """Flat positions of the strict upper triangle, row by row, and of its mirror."""
+    i, j = np.triu_indices(n, 1)
+    return i * n + j, j * n + i
+
+
+def skew_to_vec(lam: Array) -> Array:
+    """Strictly-upper-triangle coordinates of a skew matrix, row by row."""
+    return lam.take(_upper(lam.shape[0])[0])
+
+
+def vec_to_skew(vec: Array, n: int) -> Array:
+    """The skew matrix with upper triangle ``vec``, or one per row of a stack."""
+    vec = np.asarray(vec).T
+    pos, neg = _upper(n)
+    lam = np.zeros((n * n,) + vec.shape[1:])
+    lam[pos] = vec
+    lam[neg] = -vec
+    return lam.T.reshape(vec.shape[1:] + (n, n))
+
+
+@dataclass(frozen=True)
+class Skew:
+    """Slot shape of an n-by-n skew matrix, stored as its strict upper triangle."""
+
+    n: int
+
+
+class StateLayout:
+    """Named slots of a flat state vector, in declaration order.
+
+    A slot's shape is an int (a vector), a tuple (an array; ``()`` is a
+    scalar) or a :class:`Skew`.  ``split`` takes one state or a stack of
+    states, one per row.  Vector and array slots come back as views into
+    it, scalar slots of a single state as numbers, and skew slots as new
+    full matrices.  ``pack`` is its inverse for one state.
+    """
+
+    def __init__(self, **shapes):
+        # per slot: name, index into a state, array shape or None, skew n or 0
+        self._slots = []
+        self.slices: dict[str, slice] = {}
+        start = 0
+        for name, shape in shapes.items():
+            skew = shape.n if isinstance(shape, Skew) else 0
+            shape = () if skew else (shape,) if isinstance(shape, int) else tuple(shape)
+            size = skew * (skew - 1) // 2 if skew else int(np.prod(shape, dtype=int))
+            self.slices[name] = slice(start, start + size)
+            index = start if shape == () and not skew else self.slices[name]
+            self._slots.append((name, index, shape if len(shape) > 1 else None, skew))
+            start += size
+        self.size = start
+
+    def split(self, z: Array) -> dict:
+        lead = z.shape[:-1]
+        out = {}
+        for name, index, shape, skew in self._slots:
+            part = z[..., index] if lead else z[index]
+            if skew:
+                part = vec_to_skew(part, skew)
+            elif shape:
+                part = part.reshape(lead + shape)
+            out[name] = part
+        return out
+
+    def pack(self, **parts) -> Array:
+        z = np.empty(self.size)
+        for name, index, shape, skew in self._slots:
+            part = parts[name]
+            if skew:
+                part = skew_to_vec(part)
+            elif shape:
+                part = part.ravel()
+            z[index] = part
+        return z
+
 
 @dataclass
 class Trajectory:
-    """Time-stamped states with dense output and invariant-monitor channels."""
+    """Time-stamped states with dense output."""
 
     t: Array
     y: Array  # shape (len(t), dim), states at the accepted nodes
     segments: list = field(default_factory=list)  # scipy OdeSolution per chunk
     truncated: bool = False
-    channels: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
     @property
@@ -60,6 +144,18 @@ class Trajectory:
 
     def grid(self, m: int) -> Array:
         return np.linspace(self.t0, self.t1, m)
+
+    def derivative(self, ts) -> tuple[Array, Array, Array]:
+        """Central differences of the dense output around the times ``ts``.
+
+        The times are clipped to ``[t0 + h, t1 - h]`` with ``h`` the
+        module's ``DERIV_STEP``; returns the clipped times, the states there
+        and their time derivatives, one row per time.
+        """
+        h = DERIV_STEP
+        ts = np.clip(np.atleast_1d(ts), self.t0 + h, self.t1 - h)
+        zm, z0, zp = np.split(self.sample(np.concatenate([ts - h, ts, ts + h])), 3)
+        return ts, z0, (zp - zm) / (2 * h)
 
 
 def integrate(
@@ -115,7 +211,9 @@ def integrate(
             max_step=max_step,
         )
         if not res.success and res.status != 1:
-            raise RuntimeError(f"integrator failed: {res.message}")
+            state = ", ".join(f"{v:.6g}" for v in res.y[:, -1])
+            raise RuntimeError(f"integrator failed at t = {res.t[-1]:.6g} "
+                               f"with state [{state}]: {res.message}")
         segments.append(res.sol)
         ts.append(res.t if not ts else res.t[1:])
         ys.append(res.y.T if not ys else res.y.T[1:])
@@ -136,5 +234,5 @@ def integrate(
         y=y_all,
         segments=segments,
         truncated=truncated,
-        meta={"tol": tol, "max_reprojection": max_correction},
+        meta={"max_reprojection": max_correction},
     )

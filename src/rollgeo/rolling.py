@@ -12,6 +12,7 @@ q; this makes the dynamics linear in the frame matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -26,7 +27,7 @@ from .geometry import (
     riemann,
     curvature_form_from_lowered,
 )
-from .integrate import DEFAULT_TOL, Trajectory, integrate
+from .integrate import DEFAULT_TOL, StateLayout, Trajectory, integrate
 from .transport import gamma_contract
 
 
@@ -76,11 +77,17 @@ def aligned_configuration(
     )
 
 
+@lru_cache(maxsize=None)
+def develop_layout(n: int) -> StateLayout:
+    """State of a development: ``[xhat, f, fhat, clock]``."""
+    return StateLayout(xhat=n, f=(n, n), fhat=(n, n), clock=())
+
+
 @dataclass
 class RollingPath:
     """A development run: the base curve plus the integrated frame data.
 
-    The trajectory state is ``[xhat, f (row-major), fhat (row-major), t]``;
+    The trajectory state is ``develop_layout``, ``[xhat, f, fhat, clock]``;
     the base point x comes from the prescribed curve at the clock value.
     """
 
@@ -102,16 +109,11 @@ class RollingPath:
     def truncated(self) -> bool:
         return self.traj.truncated
 
-    def _split(self, z: Array) -> tuple[Array, Array, Array]:
-        n = self.dim
-        return z[:n], z[n:n + n * n].reshape(n, n), z[n + n * n:n + 2 * n * n].reshape(n, n)
-
     def configuration(self, t: float) -> RollingConfiguration:
-        z = self.traj.sample([t])[0]
-        xhat, f, fhat = self._split(z)
+        d = develop_layout(self.dim).split(self.traj.sample([t])[0])
         return RollingConfiguration(
             chart=self.chart, chart_hat=self.chart_hat,
-            x=self.curve(t), xhat=xhat, f=f, fhat=fhat,
+            x=self.curve(t), xhat=d["xhat"], f=d["f"], fhat=d["fhat"],
         )
 
     def grid(self, m: int) -> Array:
@@ -191,44 +193,41 @@ def develop(
     re-orthonormalized between integration chunks; chart exit on either
     surface truncates the run.
     """
-    n = cfg0.chart.dim
     chart, chart_hat = cfg0.chart, cfg0.chart_hat
+    layout = develop_layout(chart.dim)
     if np.abs(np.asarray(curve(0.0), float) - cfg0.x).max() > 1e-9:
         raise ValueError("curve(0) does not match the starting configuration")
     chart.validate(cfg0.x)
     chart_hat.validate(cfg0.xhat)
 
     def rhs(t, z):
-        xhat = z[:n]
-        f = z[n:n + n * n].reshape(n, n)
-        fhat = z[n + n * n:n + 2 * n * n].reshape(n, n)
-        clock = z[-1]
+        d = layout.split(z)
+        f, fhat, clock = d["f"], d["fhat"], d["clock"]
         x = np.asarray(curve(clock), float)
         xdot = np.asarray(curve_dot(clock), float)
         gam = christoffel(chart, x)
         fdot = -gamma_contract(gam, xdot) @ f
         xhatdot = fhat @ np.linalg.solve(f, xdot)
-        gamhat = christoffel(chart_hat, xhat)
+        gamhat = christoffel(chart_hat, d["xhat"])
         fhatdot = -gamma_contract(gamhat, xhatdot) @ fhat
-        return np.concatenate([xhatdot, fdot.ravel(), fhatdot.ravel(), [1.0]])
+        return layout.pack(xhat=xhatdot, f=fdot, fhat=fhatdot, clock=1.0)
 
     def margin(z):
-        return min(chart.margin(np.asarray(curve(z[-1]), float)),
-                   chart_hat.margin(z[:n]))
+        d = layout.split(z)
+        return min(chart.margin(np.asarray(curve(d["clock"]), float)),
+                   chart_hat.margin(d["xhat"]))
 
     def reproject(z):
         z = z.copy()
-        x = np.asarray(curve(z[-1]), float)
-        f = z[n:n + n * n].reshape(n, n)
-        fhat = z[n + n * n:n + 2 * n * n].reshape(n, n)
-        z[n:n + n * n] = so_projection(f, chart.validate(x)).ravel()
-        z[n + n * n:n + 2 * n * n] = so_projection(fhat, chart_hat.validate(z[:n])).ravel()
+        d = layout.split(z)
+        x = np.asarray(curve(d["clock"]), float)
+        d["f"][:] = so_projection(d["f"], chart.validate(x))
+        d["fhat"][:] = so_projection(d["fhat"], chart_hat.validate(d["xhat"]))
         return z
 
-    z0 = np.concatenate([cfg0.xhat, cfg0.f.ravel(), cfg0.fhat.ravel(), [0.0]])
+    z0 = layout.pack(xhat=cfg0.xhat, f=cfg0.f, fhat=cfg0.fhat, clock=0.0)
     traj = integrate(rhs, z0, T, tol, margin=margin, reproject=reproject,
                      max_step=max_step)
-    traj.meta["charts"] = (chart.label, chart_hat.label)
     return RollingPath(chart=chart, chart_hat=chart_hat,
                        curve=curve, curve_dot=curve_dot, traj=traj)
 
@@ -243,22 +242,19 @@ def noslip_notwist_residual(path: RollingPath, m: int = 100) -> dict:
     the transported test vectors.
     """
     n = path.dim
-    h = 1e-6
-    ts = np.clip(path.grid(m), path.traj.t0 + h, path.traj.t1 - h)
+    layout = develop_layout(n)
+    ts, zs, dzs = path.traj.derivative(path.grid(m))
     slip = twist = 0.0
-    for t in ts:
-        zm, z0, zp = path.traj.sample([t - h, t, t + h])
-        xhat, f, fhat = path._split(z0)
-        x = np.asarray(path.curve(t), float)
+    for t, z, dz in zip(ts, zs, dzs):
+        d, dot = layout.split(z), layout.split(dz)
+        xhat, fhat, xhatdot = d["xhat"], d["fhat"], dot["xhat"]
         xdot = np.asarray(path.curve_dot(t), float)
         ghat = path.chart_hat.metric(xhat)
-        xhatdot = (zp[:n] - zm[:n]) / (2 * h)
-        q = fhat @ np.linalg.inv(f)
+        q = fhat @ np.linalg.inv(d["f"])
         dv = q @ xdot - xhatdot
         slip = max(slip, float(np.sqrt(dv @ ghat @ dv)))
-        fhatdot = (zp[n + n * n:n + 2 * n * n] - zm[n + n * n:n + 2 * n * n]) / (2 * h)
         gamhat = christoffel(path.chart_hat, xhat)
-        cov = fhatdot.reshape(n, n) + gamma_contract(gamhat, xhatdot) @ fhat
+        cov = dot["fhat"] + gamma_contract(gamhat, xhatdot) @ fhat
         for j in range(n):
             twist = max(twist, float(np.sqrt(cov[:, j] @ ghat @ cov[:, j])))
     return {"slip": slip, "twist": twist}

@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
-from .charts import Array, ChartMetric, chart_by_name, fd_step
+from .charts import Array, ChartMetric, central_diff, chart_by_name, fd_step
 from .errors import DimensionError, HorizontalityError
 from .geometry import cholesky_frame, cholesky_frame_deriv, christoffel
-from .integrate import DEFAULT_TOL, Trajectory, integrate
+from .integrate import DEFAULT_TOL, StateLayout, Trajectory, integrate
 
 
 @dataclass(frozen=True)
@@ -66,19 +67,9 @@ class SubmersionTestbed:
         if self.dA is not None:
             dAx, dAy = self.dA(x, y)
             return np.asarray(dAx, float), np.asarray(dAy, float)
-        n, nu = self.base_dim, self.fiber_dim
         h = fd_step(np.concatenate([x, y]))
-        dAx = np.empty((n, nu, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            dAx[j] = (self.coefficients(x + e, y) - self.coefficients(x - e, y)) / (2 * h)
-        dAy = np.empty((nu, nu, n))
-        for m in range(nu):
-            e = np.zeros(nu)
-            e[m] = h
-            dAy[m] = (self.coefficients(x, y + e) - self.coefficients(x, y - e)) / (2 * h)
-        return dAx, dAy
+        return (central_diff(lambda p: self.coefficients(p, y), x, h),
+                central_diff(lambda p: self.coefficients(x, p), y, h))
 
 
 @dataclass(frozen=True)
@@ -114,19 +105,9 @@ class BaseHamiltonian:
         if self.grad is not None:
             dx, da = self.grad(x, a)
             return np.asarray(dx, float), np.asarray(da, float)
-        n = len(x)
         h = fd_step(np.concatenate([x, a]))
-        dx = np.empty(n)
-        da = np.empty(len(a))
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = h
-            dx[k] = (self.H(x + e, a) - self.H(x - e, a)) / (2 * h)
-        for k in range(len(a)):
-            e = np.zeros(len(a))
-            e[k] = h
-            da[k] = (self.H(x, a + e) - self.H(x, a - e)) / (2 * h)
-        return dx, da
+        return (central_diff(lambda p: self.H(p, a), x, h),
+                central_diff(lambda p: self.H(x, p), a, h))
 
 
 def free_hamiltonian(n: int = 2) -> BaseHamiltonian:
@@ -183,28 +164,35 @@ def connection_coefficients(tb: SubmersionTestbed, x: Array, y: Array) -> tuple[
 # ---------------------------------------------------------------------------
 # Flows
 
-def _unpack(tb: SubmersionTestbed, z: Array) -> tuple[Array, Array, Array, Array]:
-    n, nu = tb.base_dim, tb.fiber_dim
-    return z[:n], z[n:n + nu], z[n + nu:2 * n + nu], z[2 * n + nu:]
+@lru_cache(maxsize=None)
+def canonical_layout(n: int, nu: int) -> StateLayout:
+    """State of the lifted flow upstairs: ``[x, y, Px, Py]``."""
+    return StateLayout(x=n, y=nu, Px=n, Py=nu)
+
+
+@lru_cache(maxsize=None)
+def force_layout(n: int, nu: int) -> StateLayout:
+    """State of the projected force flow downstairs: ``[x, a, b, y]``."""
+    return StateLayout(x=n, a=n, b=nu, y=nu)
 
 
 def lifted_energy(tb: SubmersionTestbed, H: BaseHamiltonian, z: Array) -> float:
     """The lifted Hamiltonian evaluated on a canonical state [x, y, Px, Py]."""
-    x, y, Px, Py = _unpack(tb, z)
-    A = tb.coefficients(x, y)
-    return H.value(x, Px + A.T @ Py)
+    s = canonical_to_state(tb, z)
+    return H.value(s.x, s.a)
 
 
 def canonical_to_state(tb: SubmersionTestbed, z: Array) -> CotangentState:
     """Read a canonical state back into the adapted (x, y, a, b) presentation."""
-    x, y, Px, Py = _unpack(tb, z)
-    A = tb.coefficients(x, y)
-    return CotangentState(x=x, y=y, a=Px + A.T @ Py, b=Py)
+    d = canonical_layout(tb.base_dim, tb.fiber_dim).split(z)
+    A = tb.coefficients(d["x"], d["y"])
+    return CotangentState(x=d["x"], y=d["y"], a=d["Px"] + A.T @ d["Py"], b=d["Py"])
 
 
 def state_to_canonical(tb: SubmersionTestbed, s: CotangentState) -> Array:
     A = tb.coefficients(s.x, s.y)
-    return np.concatenate([s.x, s.y, s.a - A.T @ s.b, s.b])
+    return canonical_layout(tb.base_dim, tb.fiber_dim).pack(
+        x=s.x, y=s.y, Px=s.a - A.T @ s.b, Py=s.b)
 
 
 def lifted_hamiltonian_flow(
@@ -221,29 +209,25 @@ def lifted_hamiltonian_flow(
     symplectic form has its standard coefficients; the adapted (a, b)
     presentation is recovered per sample with :func:`canonical_to_state`.
     """
-    n = tb.base_dim
+    layout = canonical_layout(tb.base_dim, tb.fiber_dim)
     tb.validate(s0.x, s0.y)
 
     def rhs(t, z):
-        x, y, Px, Py = _unpack(tb, z)
+        d = layout.split(z)
+        x, y, Py = d["x"], d["y"], d["Py"]
         A = tb.coefficients(x, y)
         dAx, dAy = tb.coefficient_derivs(x, y)
-        a = Px + A.T @ Py
-        Hx, Ha = H.gradient(x, a)
-        xdot = Ha
-        ydot = A @ Ha
-        Pxdot = -Hx - np.einsum("i,k,jki->j", Ha, Py, dAx)
-        Pydot = -np.einsum("i,k,mki->m", Ha, Py, dAy)
-        return np.concatenate([xdot, ydot, Pxdot, Pydot])
+        Hx, Ha = H.gradient(x, d["Px"] + A.T @ Py)
+        return layout.pack(x=Ha, y=A @ Ha,
+                           Px=-Hx - np.einsum("i,k,jki->j", Ha, Py, dAx),
+                           Py=-np.einsum("i,k,mki->m", Ha, Py, dAy))
 
     def margin(z):
-        return tb.margin(z[:n], z[n:n + tb.fiber_dim])
+        d = layout.split(z)
+        return tb.margin(d["x"], d["y"])
 
-    traj = integrate(rhs, state_to_canonical(tb, s0), T, tol,
+    return integrate(rhs, state_to_canonical(tb, s0), T, tol,
                      margin=margin, max_step=max_step)
-    traj.meta["testbed"] = tb.label
-    traj.meta["hamiltonian"] = H.label
-    return traj
 
 
 def nabla_bar_form_transport(
@@ -305,31 +289,28 @@ def projected_force_flow(
 
         adot[j] = -dH/dx_j + sum_{k, i} b_k R[k, i, j] xdot_i.
     """
-    n, nu = tb.base_dim, tb.fiber_dim
+    layout = force_layout(tb.base_dim, tb.fiber_dim)
     if y0 is None:
-        y0 = np.zeros(nu)
+        y0 = np.zeros(tb.fiber_dim)
     tb.validate(np.asarray(x0, float), np.asarray(y0, float))
 
     def rhs(t, z):
-        x, a, b, y = z[:n], z[n:2 * n], z[2 * n:2 * n + nu], z[2 * n + nu:]
+        d = layout.split(z)
+        x, b, y = d["x"], d["b"], d["y"]
         A = tb.coefficients(x, y)
         Gbar, R = connection_coefficients(tb, x, y)
-        Hx, Ha = H.gradient(x, a)
+        Hx, Ha = H.gradient(x, d["a"])
         xdot = Ha
-        adot = -Hx + np.einsum("k,kij,i->j", b, R, xdot)
-        bdot = -np.einsum("i,m,mik->k", xdot, b, Gbar)
-        ydot = A @ xdot
-        return np.concatenate([xdot, adot, bdot, ydot])
+        return layout.pack(x=xdot, a=-Hx + np.einsum("k,kij,i->j", b, R, xdot),
+                           b=-np.einsum("i,m,mik->k", xdot, b, Gbar), y=A @ xdot)
 
     def margin(z):
-        return tb.margin(z[:n], z[2 * n + nu:])
+        d = layout.split(z)
+        return tb.margin(d["x"], d["y"])
 
-    z0 = np.concatenate([np.asarray(x0, float), np.asarray(a0, float),
-                         np.asarray(beta0, float), np.asarray(y0, float)])
-    traj = integrate(rhs, z0, T, tol, margin=margin, max_step=max_step)
-    traj.meta["testbed"] = tb.label
-    traj.meta["hamiltonian"] = H.label
-    return traj
+    z0 = layout.pack(x=np.asarray(x0, float), a=np.asarray(a0, float),
+                     b=np.asarray(beta0, float), y=np.asarray(y0, float))
+    return integrate(rhs, z0, T, tol, margin=margin, max_step=max_step)
 
 
 def verify_projection(
@@ -354,16 +335,16 @@ def verify_projection(
 
     t1 = min(abs(up.t1), abs(down.t1)) * np.sign(T if T else 1.0)
     ts = np.linspace(0.0, t1, samples)
-    n, nu = tb.base_dim, tb.fiber_dim
+    layout = force_layout(tb.base_dim, tb.fiber_dim)
 
     err_lam = err_beta = err_lift = 0.0
-    for t, zu, zd in zip(ts, up.sample(ts), down.sample(ts)):
+    for zu, zd in zip(up.sample(ts), down.sample(ts)):
         su = canonical_to_state(tb, zu)
-        xd, ad = zd[:n], zd[n:2 * n]
-        bd, yd = zd[2 * n:2 * n + nu], zd[2 * n + nu:]
-        err_lam = max(err_lam, float(np.abs(su.x - xd).max()), float(np.abs(su.a - ad).max()))
-        err_beta = max(err_beta, float(np.abs(su.b - bd).max()))
-        err_lift = max(err_lift, float(np.abs(su.y - yd).max()))
+        d = layout.split(zd)
+        err_lam = max(err_lam, float(np.abs(su.x - d["x"]).max()),
+                      float(np.abs(su.a - d["a"]).max()))
+        err_beta = max(err_beta, float(np.abs(su.b - d["b"]).max()))
+        err_lift = max(err_lift, float(np.abs(su.y - d["y"]).max()))
 
     drift = max(
         abs(lifted_energy(tb, H, z) - lifted_energy(tb, H, up.y[0])) for z in up.sample(ts)

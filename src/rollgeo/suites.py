@@ -24,11 +24,12 @@ from .geodesics import (
     Pendulum2DState,
     RollingGeodesicState,
     charge_monitor,
-    geodesic_rhs,
+    flow_residual,
     integrate_geodesic,
     pendulum_constants,
     pendulum_residual,
     reduce_2d,
+    rn_layout,
     rn_rolling_flow,
     vtilde_symmetry_check,
 )
@@ -297,26 +298,11 @@ def _geodesic_initial(scenario: dict) -> RollingGeodesicState:
                                 lam=float(scenario["ell"]) * E2)
 
 
-def _flow_residual_channel(run, ts) -> np.ndarray:
-    """Pointwise first-difference residual of the carried covector slots."""
-    h = 1e-6
-    n = run.dim
-    m = n * n
-    sl = slice(2 * n + 2 * m, None)
-    out = np.empty(len(ts))
-    for i, t in enumerate(np.clip(ts, run.traj.t0 + h, run.t1 - h)):
-        zm, z0, zp = run.traj.sample([t - h, t, t + h])
-        dot = (zp[sl] - zm[sl]) / (2 * h)
-        want = geodesic_rhs(run.chart, run.chart_hat, t, z0)[sl]
-        out[i] = np.abs(dot - want).max()
-    return out
-
-
 def _run_geodesic(scenario: dict, samples: int) -> tuple[dict, list[str], list[list[float]]]:
     s0 = _geodesic_initial(scenario)
     run = integrate_geodesic(s0, float(scenario["T"]), float(scenario["tol"]))
     ts = run.grid(samples)
-    residual = _flow_residual_channel(run, ts)
+    residual = flow_residual(run, ts)
     sym = vtilde_symmetry_check(run)
     invariants = {
         "speed_drift": run.speed_drift(),
@@ -407,17 +393,15 @@ def _run_rn_roll(scenario: dict, samples: int):
         RollingGeodesicState(cfg=cfg, u=u0, v=v0, lam=lam0), T, tol)
     t1 = min(tra.t1, trb.t1, gen.t1)
     ts = np.linspace(0.0, t1, samples)
-    za, zb = tra.sample(ts), trb.sample(ts)
-    xg = np.array([gen.split(z)["x"] for z in gen.traj.sample(ts)])
+    da, db = rn_layout(n).split(tra.sample(ts)), rn_layout(n).split(trb.sample(ts))
+    xg = gen.split(gen.traj.sample(ts))["x"]
     invariants = {
-        "form_agreement": float(np.abs(za[:, :n] - zb[:, :n]).max()),
-        "general_agreement": float(np.abs(za[:, :n] - xg).max()),
+        "form_agreement": float(np.abs(da["x"] - db["x"]).max()),
+        "general_agreement": float(np.abs(da["x"] - xg).max()),
     }
     header = (["t"] + [f"x{i+1}" for i in range(n)]
               + [f"u{i+1}" for i in range(n)] + [f"w{i+1}" for i in range(n)])
-    m = n * n
-    rows = [[t, *z[:n], *z[n + m:2 * n + m], *z[2 * n + m:]]
-            for t, z in zip(ts, za)]
+    rows = [[t, *x, *u, *w] for t, x, u, w in zip(ts, da["x"], da["u"], da["w"])]
     truncated = tra.truncated or trb.truncated or gen.truncated
     return {"invariants": invariants, "truncated": truncated}, header, rows
 

@@ -138,3 +138,26 @@ class TestVerify:
         on_disk = json.loads(
             (tmp_path / "first-integrals.report.json").read_text())
         assert on_disk == report
+
+
+class TestTracedNames:
+    def test_benchmark_tracer_names_resolve(self):
+        # The benchmark's span tracer wraps library functions and methods by
+        # name; every name it lists must stay where it looks for it.
+        import ast
+        import importlib
+        import inspect
+        from pathlib import Path
+
+        src = (Path(__file__).parents[1] / "perfbench" / "spans.py").read_text()
+        tables = {node.targets[0].id: ast.literal_eval(node.value)
+                  for node in ast.parse(src).body
+                  if isinstance(node, ast.Assign) and len(node.targets) == 1
+                  and getattr(node.targets[0], "id", None) in ("FUNCTIONS", "METHODS")}
+        assert tables["FUNCTIONS"] and tables["METHODS"]
+        for modname, attr, _ in tables["FUNCTIONS"]:
+            fn = getattr(importlib.import_module(modname), attr)
+            assert inspect.isfunction(fn) and fn.__module__ == modname, (modname, attr)
+        for modname, clsname, attr, _ in tables["METHODS"]:
+            cls = getattr(importlib.import_module(modname), clsname)
+            assert inspect.isfunction(vars(cls).get(attr)), (modname, clsname, attr)

@@ -5,23 +5,27 @@ from scipy.integrate import solve_ivp
 from rollgeo import charts
 from rollgeo.geodesics import (
     E2,
+    PENDULUM_LAYOUT,
     Pendulum2DState,
     RollingGeodesicState,
     charge_monitor,
     closed_form_b,
     curvature_forms_along,
+    geodesic_layout,
     integrate_geodesic,
     pair,
     pendulum_constants,
     pendulum_residual,
     reduce_2d,
+    rn_layout,
     rn_rolling_flow,
     skew_to_vec,
     theorem_residual,
     vec_to_skew,
     vtilde_symmetry_check,
 )
-from rollgeo.rolling import aligned_configuration
+from rollgeo.rolling import aligned_configuration, develop_layout
+from rollgeo.submersion import canonical_layout, force_layout
 
 SPHERE = charts.sphere(1.0)
 PLANE = charts.euclidean(2)
@@ -37,6 +41,34 @@ class TestPacking:
     def test_skew_round_trip(self):
         lam = np.array([[0.0, 1.5, -0.2], [-1.5, 0.0, 0.7], [0.2, -0.7, 0.0]])
         assert np.allclose(vec_to_skew(skew_to_vec(lam), 3), lam)
+
+    @pytest.mark.parametrize("layout", [
+        geodesic_layout(2), geodesic_layout(3), PENDULUM_LAYOUT, rn_layout(2),
+        develop_layout(2), canonical_layout(2, 4), force_layout(2, 4),
+    ], ids=["geodesic-2", "geodesic-3", "pendulum", "rn", "develop", "canonical",
+            "force"])
+    def test_layout_round_trip(self, layout):
+        z = np.random.default_rng(0).normal(size=layout.size)
+        parts = layout.split(z)
+        assert np.array_equal(layout.pack(**parts), z)
+        for name, value in parts.items():
+            # vector and array slots are views; scalar slots come back as
+            # numbers and the skew charge as a new full matrix
+            assert np.shares_memory(value, z) == (np.ndim(value) > 0 and name != "lam"), name
+        # a stack of states splits row by row
+        stacked = layout.split(np.stack([z, 2 * z]))
+        for name, value in layout.split(2 * z).items():
+            assert np.array_equal(stacked[name][1], value), name
+
+    def test_layout_slot_order(self):
+        # readers outside the library take (x, xhat) and x from the leading slots
+        z = np.arange(float(PENDULUM_LAYOUT.size))
+        d = PENDULUM_LAYOUT.split(z)
+        assert np.array_equal(np.concatenate([d["x"], d["xhat"]]), z[:4])
+        assert [float(d[k]) for k in ("theta", "L", "b1", "b2", "C", "S")] == \
+            list(range(12, 18))
+        assert np.array_equal(rn_layout(2).split(z[:10])["x"], z[:2])
+        assert np.array_equal(geodesic_layout(2).split(z[:17])["x"], z[:2])
 
     def test_pair_normalization(self):
         assert pair(E2, E2) == pytest.approx(1.0)
@@ -163,6 +195,9 @@ class TestReduction:
         s0 = Pendulum2DState(cfg=cfg, theta=0.2, L=0.3, b1=0.1, b2=0.0, a=1.0)
         red = reduce_2d(s0, 0.5)
         assert red.traj.meta["rho_singular"]
+        # the curvature gap stays at 1 for the unit sphere on the plane
+        red = reduce_2d(_sphere_on_plane_state(), 0.5)
+        assert red.traj.meta["rho_singular"] is False
 
 
 class TestPendulumForm:

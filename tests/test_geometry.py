@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rollgeo import charts
+from rollgeo.charts import central_diff
 from rollgeo.errors import ChartDomainError, DimensionError, FrameError
 from rollgeo.geometry import (
     FramePoint,
@@ -86,6 +87,26 @@ class TestChristoffel:
         e1 = np.abs(fd_gamma(1e-3) - exact).max()
         e2 = np.abs(fd_gamma(5e-4) - exact).max()
         assert 3.5 < e1 / e2 < 4.5
+
+
+class TestCentralDiff:
+    def test_matches_analytic_paraboloid_derivative(self):
+        para = charts.paraboloid(1.3)
+        bare = charts.ChartMetric(dim=2, g=para.g, label="bare")
+        for x in (np.array([0.3, -0.4]), np.array([1.2, 0.7])):
+            exact = para.dg(x)
+            assert np.abs(central_diff(para.g, x) - exact).max() < 1e-9
+            assert np.abs(bare.metric_deriv(x) - exact).max() < 1e-9
+
+    def test_partials_stacked_along_first_axis(self):
+        def fn(x):
+            return np.array([[x[0] ** 2, x[1]], [x[0] * x[1], 3.0 * x[2]]])
+
+        d = central_diff(fn, np.array([1.0, 2.0, -1.0]), h=1e-4)
+        assert d.shape == (3, 2, 2)
+        assert np.allclose(d[0], [[2.0, 0.0], [2.0, 0.0]], atol=1e-9)
+        assert np.allclose(d[1], [[0.0, 1.0], [1.0, 0.0]], atol=1e-9)
+        assert np.allclose(d[2], [[0.0, 0.0], [0.0, 3.0]], atol=1e-9)
 
 
 class TestRiemann:

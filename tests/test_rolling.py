@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -330,6 +332,27 @@ class TestMetricValidation:
         with pytest.raises(SingularMetricError, match="indefinite"):
             aligned_configuration(self.BAD_CHARTS["indefinite"], PLANE,
                                   np.zeros(2), np.zeros(2))
+
+    def test_integrator_failure_names_time_and_state(self):
+        # With its true derivative the degenerating metric makes the
+        # Christoffel symbols blow up before the first chunk boundary: the
+        # stepper fails near x0 = 1, which the curve reaches at t = 0.5.
+        def dg(x):
+            out = np.zeros((2, 2, 2))
+            out[0, 1, 1] = -1.0
+            return out
+
+        chart = ChartMetric(dim=2, g=lambda x: np.diag([1.0, 1.0 - x[0]]), dg=dg,
+                            label="degenerating")
+        x0 = np.array([0.5, 0.0])
+        direction = np.array([1.0, 0.0])
+        cfg = aligned_configuration(chart, PLANE, x0, np.zeros(2))
+        with pytest.raises(RuntimeError, match="integrator failed") as info:
+            develop(cfg, lambda t: x0 + t * direction, lambda t: direction, 2.0)
+        m = re.search(r"at t = (\S+) with state \[([^\]]*)\]", str(info.value))
+        assert m is not None
+        assert abs(float(m.group(1)) - 0.5) < 1e-3
+        assert len(m.group(2).split(",")) == 11
 
     def test_degenerating_metric_caught_at_chunk_boundary(self):
         # g = diag(1, 1 - x0) turns indefinite past x0 = 1.  Its derivative is

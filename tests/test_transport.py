@@ -2,6 +2,7 @@ import numpy as np
 
 from rollgeo import charts
 from rollgeo.geometry import orthonormal_frame_at
+from rollgeo.integrate import DERIV_STEP, integrate
 from rollgeo.transport import (
     geodesic_flow,
     geodesic_residual,
@@ -57,6 +58,18 @@ class TestParallelTransport:
         f1 = tr.y[-1].reshape(2, 2)
         g1 = SPHERE.metric(curve(1.0))
         assert np.abs(f1.T @ g1 @ f1 - np.eye(2)).max() < 1e-8
+
+
+class TestTrajectoryDerivative:
+    def test_harmonic_oscillator(self):
+        # y'' = -y from (1, 0): the state is (cos t, -sin t)
+        traj = integrate(lambda t, y: np.array([y[1], -y[0]]), np.array([1.0, 0.0]),
+                         3.0, tol=1e-12, max_step=0.02)
+        ts, zs, dzs = traj.derivative(traj.grid(50))
+        assert ts[0] == traj.t0 + DERIV_STEP and ts[-1] == traj.t1 - DERIV_STEP
+        assert np.abs(zs[:, 0] - np.cos(ts)).max() < 1e-9
+        assert np.abs(dzs[:, 0] + np.sin(ts)).max() < 1e-8
+        assert np.abs(dzs[:, 1] + np.cos(ts)).max() < 1e-8
 
 
 class TestGeodesicFlow:
