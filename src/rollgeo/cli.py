@@ -13,6 +13,7 @@ chart-domain truncation (partial artifacts are still written).
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import sys
 
@@ -34,8 +35,20 @@ def _write_atomic(path: pathlib.Path, text: str) -> None:
     tmp.replace(path)
 
 
+def _finite_or_null(value):
+    """``value`` with each non-finite float (a failed shot's residual) as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _json_text(record) -> str:
-    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_finite_or_null(record), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def _csv_text(header: list[str], rows: list[list[float]]) -> str:

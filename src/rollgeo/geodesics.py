@@ -174,7 +174,7 @@ class GeodesicRun:
         return RollingGeodesicState(cfg=cfg, u=d["u"], v=d["v"], lam=d["lam"])
 
     def speed_drift(self, m: int = 200) -> float:
-        sp = [np.linalg.norm(self.split(z)["u"]) for z in self.traj.sample(self.traj.grid(m))]
+        sp = [np.linalg.norm(u) for u in self.split(self.traj.sample(self.traj.grid(m)))["u"]]
         return float(max(sp) - min(sp))
 
     def grid(self, m: int) -> Array:
@@ -255,16 +255,16 @@ def vtilde_symmetry_check(run: GeodesicRun, samples: int = 100) -> dict:
     """
     n = run.dim
     _, zs, dzs = run.traj.derivative(run.grid(samples))
+    d, dot = run.split(zs), run.split(dzs)
     res_lam = res_v = 0.0
-    for z, dz in zip(zs, dzs):
-        d, dot = run.split(z), run.split(dz)
-        u, v, lam = d["u"], d["v"], d["lam"]
+    for i in range(len(zs)):
+        x, f, u, v, lam = d["x"][i], d["f"][i], d["u"][i], d["v"][i], d["lam"][i]
         vt = v + u
         want_lam = np.outer(u, vt) - np.outer(vt, u)
-        res_lam = max(res_lam, float(np.abs(dot["lam"] - want_lam).max()))
-        om = curvature_forms_along(run.chart, d["x"], d["f"], d["f"] @ u)
+        res_lam = max(res_lam, float(np.abs(dot["lam"][i] - want_lam).max()))
+        om = curvature_forms_along(run.chart, x, f, f @ u)
         want_vt = np.array([pair(lam, om[j]) for j in range(n)])
-        res_v = max(res_v, float(np.abs(dot["v"] + dot["u"] - want_vt).max()))
+        res_v = max(res_v, float(np.abs(dot["v"][i] + dot["u"][i] - want_vt).max()))
     return {"charge": res_lam, "field": res_v}
 
 
@@ -425,15 +425,17 @@ def pendulum_residual(run: PendulumRun, A: float, phi0: float, samples: int = 40
     th = ch["theta"]
     rho = 1.0 / (ch["kappa"] - ch["kappahat"])
     h = DERIV_STEP
-    tc = np.clip(ts, run.traj.t0 + h, run.traj.t1 - h)
+    tc = run.traj.interior(ts)
     lo, hi = run.channels(tc - h), run.channels(tc + h)
     kapdot = (hi["kappa"] - lo["kappa"]) / (2 * h)
     kaphatdot = (hi["kappahat"] - lo["kappahat"]) / (2 * h)
     w = rho * rho * (ch["kappa"] * kaphatdot - kapdot * ch["kappahat"])
     from scipy.integrate import cumulative_simpson
 
-    C = cumulative_simpson(np.cos(th) * w, x=ts, initial=0.0)
-    S = cumulative_simpson(np.sin(th) * w, x=ts, initial=0.0)
+    # Simpson needs increasing abscissae: a backward run integrates in -t.
+    sign = 1.0 if run.traj.t1 >= run.traj.t0 else -1.0
+    C = sign * cumulative_simpson(np.cos(th) * w, x=sign * ts, initial=0.0)
+    S = sign * cumulative_simpson(np.sin(th) * w, x=sign * ts, initial=0.0)
     F = np.sin(th) * C - np.cos(th) * S
     res = a * ch["b2"] - A * np.sin(th - phi0) - a * a * F
     return float(np.abs(res).max())
@@ -533,14 +535,13 @@ def charge_monitor(run: GeodesicRun, samples: int = 2000) -> dict:
     if run.dim != 2:
         raise DimensionError("charge monitor is a surface diagnostic")
     ts = run.grid(samples)
-    ell = np.empty(len(ts))
+    d = run.split(run.traj.sample(ts))
+    ell = d["lam"][:, 0, 1]
     integrand = np.empty(len(ts))
-    for i, z in enumerate(run.traj.sample(ts)):
-        d = run.split(z)
-        ell[i] = d["lam"][0, 1]
-        g = run.chart.metric(d["x"])
-        xdot = d["f"] @ d["u"]
-        V = d["f"] @ d["v"]
+    for i, (x, f, u, v) in enumerate(zip(d["x"], d["f"], d["u"], d["v"])):
+        g = run.chart.metric(x)
+        xdot = f @ u
+        V = f @ v
         integrand[i] = np.sqrt(np.linalg.det(g)) * (xdot[0] * V[1] - xdot[1] * V[0])
     from scipy.integrate import cumulative_trapezoid
 

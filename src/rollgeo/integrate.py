@@ -5,7 +5,10 @@ around :func:`scipy.integrate.solve_ivp` (RK45, order 5(4), dense output).
 Integration proceeds in chunks so that state corrections such as frame
 re-orthonormalization can be applied between chunks without disturbing the
 stepper's order, and so that a domain-margin event can truncate a run with
-an explicit flag.
+an explicit flag.  The chunks' step interpolants are joined into one
+:class:`scipy.integrate.OdeSolution`, so a run is sampled at a whole
+vector of times in one call; at a chunk boundary the earlier chunk's
+interpolant (the state before reprojection) is used.
 
 Every flow's state vector is described by one :class:`StateLayout`, and
 the checks differentiate dense output through :meth:`Trajectory.derivative`.
@@ -18,7 +21,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
 
 Array = np.ndarray
 
@@ -112,7 +115,7 @@ class Trajectory:
 
     t: Array
     y: Array  # shape (len(t), dim), states at the accepted nodes
-    segments: list = field(default_factory=list)  # scipy OdeSolution per chunk
+    dense: OdeSolution  # one interpolant per accepted step, over the whole run
     truncated: bool = False
     meta: dict = field(default_factory=dict)
 
@@ -125,35 +128,33 @@ class Trajectory:
         return float(self.t[-1])
 
     def sample(self, ts) -> Array:
-        """Evaluate the dense interpolant at times ``ts`` (within the run)."""
+        """Evaluate the dense interpolant at times ``ts``, one row per time.
+
+        Times up to 1e-12 outside the run are clipped onto its ends.
+        """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        lo, hi = min(self.t0, self.t1), max(self.t0, self.t1)
+        lo, hi = sorted((self.t0, self.t1))
         if ts.min() < lo - 1e-12 or ts.max() > hi + 1e-12:
             raise ValueError("sample times outside the integrated interval")
-        out = np.empty((len(ts), self.y.shape[1]))
-        for i, t in enumerate(ts):
-            out[i] = self._eval(t)
-        return out
-
-    def _eval(self, t: float) -> Array:
-        for sol in self.segments:
-            a, b = sol.t_min, sol.t_max
-            if a - 1e-12 <= t <= b + 1e-12:
-                return sol(min(max(t, a), b))
-        raise ValueError(f"time {t} not covered by dense output")
+        return self.dense(np.clip(ts, lo, hi)).T
 
     def grid(self, m: int) -> Array:
         return np.linspace(self.t0, self.t1, m)
 
+    def interior(self, ts) -> Array:
+        """The times ``ts`` clipped to ``DERIV_STEP`` inside the run's interval."""
+        lo, hi = sorted((self.t0, self.t1))
+        return np.clip(np.atleast_1d(ts), lo + DERIV_STEP, hi - DERIV_STEP)
+
     def derivative(self, ts) -> tuple[Array, Array, Array]:
         """Central differences of the dense output around the times ``ts``.
 
-        The times are clipped to ``[t0 + h, t1 - h]`` with ``h`` the
-        module's ``DERIV_STEP``; returns the clipped times, the states there
-        and their time derivatives, one row per time.
+        The times are first moved into the run by :meth:`interior`; returns
+        the clipped times, the states there and their time derivatives, one
+        row per time.
         """
         h = DERIV_STEP
-        ts = np.clip(np.atleast_1d(ts), self.t0 + h, self.t1 - h)
+        ts = self.interior(ts)
         zm, z0, zp = np.split(self.sample(np.concatenate([ts - h, ts, ts + h])), 3)
         return ts, z0, (zp - zm) / (2 * h)
 
@@ -192,7 +193,7 @@ def integrate(
 
     ts: list[Array] = []
     ys: list[Array] = []
-    segments: list = []
+    interpolants: list = []
     truncated = False
     max_correction = 0.0
 
@@ -214,7 +215,7 @@ def integrate(
             state = ", ".join(f"{v:.6g}" for v in res.y[:, -1])
             raise RuntimeError(f"integrator failed at t = {res.t[-1]:.6g} "
                                f"with state [{state}]: {res.message}")
-        segments.append(res.sol)
+        interpolants += res.sol.interpolants
         ts.append(res.t if not ts else res.t[1:])
         ys.append(res.y.T if not ys else res.y.T[1:])
         if res.status == 1:  # terminated by the domain-exit event
@@ -228,11 +229,10 @@ def integrate(
             y_cur = y_new
 
     t_all = np.concatenate(ts)
-    y_all = np.concatenate(ys, axis=0)
     return Trajectory(
         t=t_all,
-        y=y_all,
-        segments=segments,
+        y=np.concatenate(ys, axis=0),
+        dense=OdeSolution(t_all, interpolants),
         truncated=truncated,
         meta={"max_reprojection": max_correction},
     )

@@ -244,17 +244,17 @@ def noslip_notwist_residual(path: RollingPath, m: int = 100) -> dict:
     n = path.dim
     layout = develop_layout(n)
     ts, zs, dzs = path.traj.derivative(path.grid(m))
+    d, dot = layout.split(zs), layout.split(dzs)
     slip = twist = 0.0
-    for t, z, dz in zip(ts, zs, dzs):
-        d, dot = layout.split(z), layout.split(dz)
-        xhat, fhat, xhatdot = d["xhat"], d["fhat"], dot["xhat"]
+    for i, t in enumerate(ts):
+        xhat, fhat, xhatdot = d["xhat"][i], d["fhat"][i], dot["xhat"][i]
         xdot = np.asarray(path.curve_dot(t), float)
         ghat = path.chart_hat.metric(xhat)
-        q = fhat @ np.linalg.inv(d["f"])
+        q = fhat @ np.linalg.inv(d["f"][i])
         dv = q @ xdot - xhatdot
         slip = max(slip, float(np.sqrt(dv @ ghat @ dv)))
         gamhat = christoffel(path.chart_hat, xhat)
-        cov = dot["fhat"] + gamma_contract(gamhat, xhatdot) @ fhat
+        cov = dot["fhat"][i] + gamma_contract(gamhat, xhatdot) @ fhat
         for j in range(n):
             twist = max(twist, float(np.sqrt(cov[:, j] @ ghat @ cov[:, j])))
     return {"slip": slip, "twist": twist}

@@ -320,49 +320,36 @@ def verify_projection(
     T: float,
     tol: float = DEFAULT_TOL,
     samples: int = 200,
-    with_flows: bool = False,
 ) -> dict:
     """Measure agreement between the lifted flow, pushed down, and the
     projected force flow started from the matched initial data.
 
     Returns a report with the three sup-norm discrepancies: the base
     covector path (x, a), the transported form b, and the fiber path y of
-    the horizontal lift.  With ``with_flows`` the report also carries the
-    two trajectories so callers can sample them without re-integrating.
+    the horizontal lift, the drift of the lifted energy, and the two
+    trajectories as ``flows`` so callers can sample them without
+    re-integrating.
     """
     up = lifted_hamiltonian_flow(tb, H, s0, T, tol)
     down = projected_force_flow(tb, H, s0.x, s0.a, s0.b, T, tol, y0=s0.y)
 
     t1 = min(abs(up.t1), abs(down.t1)) * np.sign(T if T else 1.0)
     ts = np.linspace(0.0, t1, samples)
-    layout = force_layout(tb.base_dim, tb.fiber_dim)
+    ups = [canonical_to_state(tb, z) for z in up.sample(ts)]
+    d = force_layout(tb.base_dim, tb.fiber_dim).split(down.sample(ts))
 
-    err_lam = err_beta = err_lift = 0.0
-    for zu, zd in zip(up.sample(ts), down.sample(ts)):
-        su = canonical_to_state(tb, zu)
-        d = layout.split(zd)
-        err_lam = max(err_lam, float(np.abs(su.x - d["x"]).max()),
-                      float(np.abs(su.a - d["a"]).max()))
-        err_beta = max(err_beta, float(np.abs(su.b - d["b"]).max()))
-        err_lift = max(err_lift, float(np.abs(su.y - d["y"]).max()))
+    def sup_error(slot):
+        return float(np.abs(np.array([getattr(s, slot) for s in ups]) - d[slot]).max())
 
-    drift = max(
-        abs(lifted_energy(tb, H, z) - lifted_energy(tb, H, up.y[0])) for z in up.sample(ts)
-    )
-    report = {
-        "testbed": tb.label,
-        "hamiltonian": H.label,
-        "tol": tol,
-        "T": float(T),
-        "sup_error_lambda": err_lam,
-        "sup_error_beta": err_beta,
-        "sup_error_lift": err_lift,
-        "energy_drift": float(drift),
+    e0 = lifted_energy(tb, H, up.y[0])
+    return {
+        "sup_error_lambda": max(sup_error("x"), sup_error("a")),
+        "sup_error_beta": sup_error("b"),
+        "sup_error_lift": sup_error("y"),
+        "energy_drift": float(max(abs(H.value(s.x, s.a) - e0) for s in ups)),
         "truncated": bool(up.truncated or down.truncated),
+        "flows": (up, down),
     }
-    if with_flows:
-        report["flows"] = (up, down)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +405,6 @@ def frame_bundle(chart: ChartMetric, chart_hat: ChartMetric) -> SubmersionTestbe
     """
     if chart.dim != 2 or chart_hat.dim != 2:
         raise DimensionError("frame_bundle testbed requires two 2D charts")
-    J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
     def A(x, y):
         psi, xhat, psihat = y[0], y[1:3], y[3]

@@ -34,7 +34,13 @@ from .geodesics import (
     vtilde_symmetry_check,
 )
 from .geometry import gauss_curvature
-from .rolling import aligned_configuration, develop, noslip_notwist_residual
+from .rolling import (
+    RollingConfiguration,
+    aligned_configuration,
+    develop,
+    develop_layout,
+    noslip_notwist_residual,
+)
 from .shooting import ShootingProblem, endpoint_map, solve
 from .submersion import (
     CotangentState,
@@ -287,15 +293,28 @@ def validate_scenario(scenario: dict) -> dict:
 # ---------------------------------------------------------------------------
 # Execution
 
+def _aligned_start(scenario: dict) -> RollingConfiguration:
+    """The scenario's start configuration, with the canonical chart frames."""
+    return aligned_configuration(chart_catalog.chart_by_name(scenario["chart"]),
+                                 chart_catalog.chart_by_name(scenario["chart_hat"]),
+                                 np.asarray(scenario["x"], float),
+                                 np.asarray(scenario["xhat"], float))
+
+
 def _geodesic_initial(scenario: dict) -> RollingGeodesicState:
-    chart = chart_catalog.chart_by_name(scenario["chart"])
-    chart_hat = chart_catalog.chart_by_name(scenario["chart_hat"])
-    cfg = aligned_configuration(chart, chart_hat,
-                                np.asarray(scenario["x"], float),
-                                np.asarray(scenario["xhat"], float))
-    return RollingGeodesicState(cfg=cfg, u=np.asarray(scenario["u"], float),
+    return RollingGeodesicState(cfg=_aligned_start(scenario),
+                                u=np.asarray(scenario["u"], float),
                                 v=np.asarray(scenario["v"], float),
                                 lam=float(scenario["ell"]) * E2)
+
+
+_GEODESIC_HEADER = ["t", "x1", "x2", "xhat1", "xhat2", "L01", "u1", "u2", "v1", "v2"]
+
+
+def _geodesic_rows(ts, d: dict) -> list[list[float]]:
+    """Table rows, in ``_GEODESIC_HEADER`` order, of surface geodesic states split at ``ts``."""
+    return [[t, *x, *xhat, lam[0, 1], *u, *v]
+            for t, x, xhat, lam, u, v in zip(ts, d["x"], d["xhat"], d["lam"], d["u"], d["v"])]
 
 
 def _run_geodesic(scenario: dict, samples: int) -> tuple[dict, list[str], list[list[float]]]:
@@ -312,23 +331,15 @@ def _run_geodesic(scenario: dict, samples: int) -> tuple[dict, list[str], list[l
     if run.chart_hat.label.startswith("euclidean"):
         invariants["charge_error"] = charge_monitor(run)["sup_error"]
 
-    header = ["t", "x1", "x2", "xhat1", "xhat2", "L01", "u1", "u2", "v1", "v2",
-              "speed", "flow_residual"]
-    rows = []
-    for i, (t, z) in enumerate(zip(ts, run.traj.sample(ts))):
-        d = run.split(z)
-        rows.append([t, *d["x"], *d["xhat"], d["lam"][0, 1], *d["u"], *d["v"],
-                     float(np.linalg.norm(d["u"])), residual[i]])
+    header = _GEODESIC_HEADER + ["speed", "flow_residual"]
+    d = run.split(run.traj.sample(ts))
+    rows = [row + [float(np.linalg.norm(u)), r]
+            for row, u, r in zip(_geodesic_rows(ts, d), d["u"], residual)]
     return {"invariants": invariants, "truncated": run.truncated}, header, rows
 
 
 def _run_pendulum(scenario: dict, samples: int):
-    chart = chart_catalog.chart_by_name(scenario["chart"])
-    chart_hat = chart_catalog.chart_by_name(scenario["chart_hat"])
-    cfg = aligned_configuration(chart, chart_hat,
-                                np.asarray(scenario["x"], float),
-                                np.asarray(scenario["xhat"], float))
-    s0 = Pendulum2DState(cfg=cfg, theta=float(scenario["theta"]),
+    s0 = Pendulum2DState(cfg=_aligned_start(scenario), theta=float(scenario["theta"]),
                          L=float(scenario["L"]), b1=float(scenario["b1"]),
                          b2=float(scenario["b2"]), a=float(scenario["a"]))
     run = reduce_2d(s0, float(scenario["T"]), float(scenario["tol"]))
@@ -350,26 +361,21 @@ def _run_pendulum(scenario: dict, samples: int):
 
 
 def _run_develop(scenario: dict, samples: int):
-    chart = chart_catalog.chart_by_name(scenario["chart"])
-    chart_hat = chart_catalog.chart_by_name(scenario["chart_hat"])
-    x0 = np.asarray(scenario["x"], float)
+    cfg = _aligned_start(scenario)
     direction = np.asarray(scenario["direction"], float)
-    cfg = aligned_configuration(chart, chart_hat, x0,
-                                np.asarray(scenario["xhat"], float))
-    path = develop(cfg, lambda t: x0 + t * direction, lambda t: direction,
+    path = develop(cfg, lambda t: cfg.x + t * direction, lambda t: direction,
                    float(scenario["T"]), float(scenario["tol"]))
     res = noslip_notwist_residual(path)
     invariants = {"slip": res["slip"], "twist": res["twist"]}
     ts = path.grid(samples)
-    n = chart.dim
+    n = path.dim
     header = (["t"] + [f"x{i+1}" for i in range(n)]
               + [f"xhat{i+1}" for i in range(n)]
               + [f"f{i+1}{j+1}" for i in range(n) for j in range(n)]
               + [f"fhat{i+1}{j+1}" for i in range(n) for j in range(n)])
-    rows = []
-    for t in ts:
-        c = path.configuration(t)
-        rows.append([t, *c.x, *c.xhat, *c.f.ravel(), *c.fhat.ravel()])
+    d = develop_layout(n).split(path.traj.sample(ts))
+    rows = [[t, *path.curve(t), *xhat, *f.ravel(), *fhat.ravel()]
+            for t, xhat, f, fhat in zip(ts, d["xhat"], d["f"], d["fhat"])]
     return {"invariants": invariants, "truncated": path.truncated}, header, rows
 
 
@@ -415,8 +421,7 @@ def _run_verify_lift(scenario: dict, samples: int):
         H = kinetic_hamiltonian(chart_catalog.chart_by_name(ham))
     init = scenario["initial"]
     s0 = CotangentState(x=init["x"], y=init["y"], a=init["a"], b=init["b"])
-    report = verify_projection(tb, H, s0, float(scenario["T"]),
-                               float(scenario["tol"]), with_flows=True)
+    report = verify_projection(tb, H, s0, float(scenario["T"]), float(scenario["tol"]))
     invariants = {
         "sup_error": max(report["sup_error_lambda"], report["sup_error_beta"],
                          report["sup_error_lift"]),
@@ -441,11 +446,7 @@ def _run_verify_lift(scenario: dict, samples: int):
 
 
 def _run_bvp(scenario: dict, samples: int):
-    chart = chart_catalog.chart_by_name(scenario["chart"])
-    chart_hat = chart_catalog.chart_by_name(scenario["chart_hat"])
-    cfg0 = aligned_configuration(chart, chart_hat,
-                                 np.asarray(scenario["x"], float),
-                                 np.asarray(scenario["xhat"], float))
+    cfg0 = _aligned_start(scenario)
     true_p = np.asarray(scenario["true_params"], float)
     T, tol = float(scenario["T"]), float(scenario["tol"])
     target = endpoint_map(cfg0, true_p[0], true_p[1:3], true_p[3], T, tol=tol)
@@ -459,16 +460,11 @@ def _run_bvp(scenario: dict, samples: int):
         "iterations": res.iterations,
         "converged": res.status == "converged",
     }
-    header = ["t", "x1", "x2", "xhat1", "xhat2", "L01", "u1", "u2", "v1", "v2"]
-    rows = []
-    if res.run is not None:
-        ts = res.run.grid(samples)
-        for t, z in zip(ts, res.run.traj.sample(ts)):
-            d = res.run.split(z)
-            rows.append([t, *d["x"], *d["xhat"], d["lam"][0, 1], *d["u"],
-                         *d["v"]])
-    truncated = res.run.truncated if res.run is not None else True
-    return {"invariants": invariants, "truncated": truncated}, header, rows
+    if res.run is None:
+        return {"invariants": invariants, "truncated": True}, _GEODESIC_HEADER, []
+    ts = res.run.grid(samples)
+    rows = _geodesic_rows(ts, res.run.split(res.run.traj.sample(ts)))
+    return {"invariants": invariants, "truncated": res.run.truncated}, _GEODESIC_HEADER, rows
 
 
 _RUNNERS = {

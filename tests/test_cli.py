@@ -81,6 +81,29 @@ class TestRunErrors:
         assert summary["status"] == "truncated"
         assert (out / "poleward.csv").exists()
 
+    def test_chart_exit_bvp_writes_valid_json(self, runner, tmp_path):
+        # The first shot leaves the sphere chart, so the endpoint residual is
+        # infinite; the summary must still be standard JSON.
+        scenario = tmp_path / "exit.json"
+        scenario.write_text(json.dumps({
+            "kind": "bvp", "chart": "sphere(1)", "chart_hat": "euclidean(2)",
+            "x": [0.1, 0.0], "xhat": [0.0, 0.0], "true_params": [0, 0, 0, 0],
+            "perturbation": 3.1, "T": 0.25, "seed": 34,
+        }))
+        out = tmp_path / "out"
+        result = _run(runner, "run", str(scenario), "--output-dir", str(out),
+                      "--samples", "20")
+        assert result.exit_code == 4
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        summary = json.loads((out / "exit.summary.json").read_text(),
+                             parse_constant=reject)
+        assert summary["status"] == "truncated"
+        assert summary["invariants"]["endpoint_residual"] is None
+        assert summary["violations"]["converged"]["value"] is False
+
 
 class TestRunArtifacts:
     def test_pendulum_scenario_passes(self, runner, tmp_path):
@@ -109,6 +132,18 @@ class TestRunArtifacts:
         assert (a / f"{name}.csv").read_bytes() == (b / f"{name}.csv").read_bytes()
         assert (a / f"{name}.summary.json").read_bytes() == \
             (b / f"{name}.summary.json").read_bytes()
+
+    @pytest.mark.parametrize("name", ["sphere-great-circle-develop",
+                                      "sphere-on-plane-geodesic",
+                                      "sphere-on-plane-pendulum"])
+    def test_backward_run_passes(self, runner, tmp_path, name):
+        result = _run(runner, "run", name, "--T=-1", "--output-dir", str(tmp_path),
+                      "--samples", "40")
+        assert result.exit_code == 0, result.output
+        summary = json.loads((tmp_path / f"{name}.summary.json").read_text())
+        assert summary["status"] == "ok"
+        assert summary["scenario"]["T"] == -1.0
+        assert summary["samples"] == 40
 
     def test_json_table_format(self, runner, tmp_path):
         result = _run(runner, "run", "sphere-great-circle-develop", "--T", "1",

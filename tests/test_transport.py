@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from rollgeo import charts
 from rollgeo.geometry import orthonormal_frame_at
@@ -70,6 +71,28 @@ class TestTrajectoryDerivative:
         assert np.abs(zs[:, 0] - np.cos(ts)).max() < 1e-9
         assert np.abs(dzs[:, 0] + np.sin(ts)).max() < 1e-8
         assert np.abs(dzs[:, 1] + np.cos(ts)).max() < 1e-8
+
+    def test_backward_harmonic_oscillator(self):
+        # the same oscillator run back to t = -2: the clip stays inside the run
+        traj = integrate(lambda t, y: np.array([y[1], -y[0]]), np.array([1.0, 0.0]),
+                         -2.0, tol=1e-12, max_step=0.02)
+        ts, zs, dzs = traj.derivative(traj.grid(50))
+        assert ts[0] == traj.t0 - DERIV_STEP and ts[-1] == traj.t1 + DERIV_STEP
+        assert np.abs(zs[:, 0] - np.cos(ts)).max() < 1e-9
+        assert np.abs(dzs[:, 0] + np.sin(ts)).max() < 1e-8
+        assert np.abs(dzs[:, 1] + np.cos(ts)).max() < 1e-8
+
+    def test_chunk_boundaries_take_the_earlier_chunk(self):
+        # y' = 1 in chunks of 0.5, each boundary state shifted by 1e-3: at a
+        # boundary the dense output is the earlier chunk's, before the shift.
+        traj = integrate(lambda t, y: np.ones(1), np.zeros(1), 1.5, chunk=0.5,
+                         reproject=lambda y: y + 1e-3)
+        ys = traj.sample([0.0, 0.5, 0.75, 1.0, 1.5])[:, 0]
+        assert np.allclose(ys, [0.0, 0.5, 0.751, 1.001, 1.502], rtol=0, atol=1e-12)
+        assert traj.sample(1.5 + 1e-13)[0, 0] == traj.y[-1, 0]
+        for t in (-1e-9, 1.5 + 1e-9):
+            with pytest.raises(ValueError, match="outside the integrated interval"):
+                traj.sample([0.5, t])
 
 
 class TestGeodesicFlow:
