@@ -18,8 +18,10 @@ Index conventions, fixed once for the whole library:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .charts import Array, ChartMetric, central_diff
 from .errors import DimensionError, FrameError, SingularMetricError
@@ -168,40 +170,87 @@ def orthonormal_frame_at(chart: ChartMetric, x: Array, seed: Array | None = None
     return FramePoint(x=x, f=f)
 
 
+def _cholesky(chart: ChartMetric, x: Array, gx: Array) -> tuple[Array, Array]:
+    """The factor L of ``gx = L L^T`` and the canonical frame E = L^-T.
+
+    The factorization doubles as the positivity check of the metric at
+    ``x``.  LAPACK is called directly: on the 2-by-2 and 3-by-3 metrics of
+    the charts, numpy's wrappers cost several times the factorization.
+    """
+    L, info = dpotrf(gx, lower=1)
+    if info != 0:
+        raise SingularMetricError(f"metric not positive definite at {x} on '{chart.label}'")
+    Linv, _ = dtrtri(L, lower=1)
+    return L, Linv.T
+
+
 def cholesky_frame(chart: ChartMetric, x: Array) -> Array:
     """The canonical orthonormal frame E(x) = L(x)^-T with g = L L^T.
 
     Smooth in ``x`` wherever the metric is, which makes it suitable as a
-    reference section of the frame bundle.  The factorization doubles as
-    the positivity check of the metric at ``x``.
+    reference section of the frame bundle.  A metric that is not positive
+    definite at ``x`` raises :class:`SingularMetricError`.
     """
-    try:
-        L = np.linalg.cholesky(chart.metric(x))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetricError(
-            f"metric not positive definite at {x} on '{chart.label}'"
-        ) from exc
-    return np.linalg.inv(L).T
+    return _cholesky(chart, x, chart.metric(x))[1]
 
 
 def cholesky_frame_deriv(chart: ChartMetric, x: Array) -> Array:
-    """Partials dE[k] = d E / d x_k of the canonical frame, analytic in dg.
+    """Partials dE[k] = d E / d x_k of the canonical frame, analytic in dg."""
+    E = _cholesky(chart, x, chart.metric(x))[1]
+    return _frame_deriv(E, chart.metric_deriv(x))[1]
 
-    Uses the standard Cholesky differential: with g = L L^T and
-    Phi = L^-1 dg L^-T, dL = L (tril(Phi) - diag(Phi)/2) and
-    dE = -E dL^T E^T ... spelled out below without forming E twice.
+
+@lru_cache(maxsize=None)
+def _tril_half(n: int) -> Array:
+    """Weights of the Cholesky differential: the strict lower triangle and half the diagonal."""
+    return np.tril(np.ones((n, n)), -1) + 0.5 * np.eye(n)
+
+
+def _frame_deriv(E: Array, dgx: Array) -> tuple[Array, Array]:
+    """``(K, dE)`` with d_k L = L K[k] and dE[k] = d_k E, for E = L^-T.
+
+    The Cholesky differential of g = L L^T is K[k] = tril(Phi_k) -
+    diag(Phi_k)/2 with Phi_k = L^-1 d_k g L^-T = E^T d_k g E, and
+    d_k E = -E d_k L^T E = -E K[k]^T since L^T E = I.
     """
-    gx = chart.metric(x)
+    K = (E.T @ dgx @ E) * _tril_half(E.shape[0])
+    return K, -E @ K.transpose(0, 2, 1)
+
+
+@dataclass(frozen=True)
+class FrameJet:
+    """The canonical frame at a point with its first partials.
+
+    ``E`` is the canonical frame L^-T, ``Einv`` its inverse L^T, ``dE[k]``
+    the partial of E along d_k, and ``omega[k]`` the connection form of the
+    frame field along d_k: the skew matrix
+    ``omega[k][a, b] = g(E_a, nabla_k E_b)``.  On a 2D chart
+    ``omega[:, 0, 1]`` is the spin of the frame: ``omega[k][0, 1]`` is the
+    rate at which E_1 turns towards E_0 under d_k, measured against
+    parallel transport.
+    """
+
+    E: Array
+    Einv: Array
+    dE: Array
+    omega: Array
+
+
+def cholesky_frame_jet(chart: ChartMetric, x: Array) -> FrameJet:
+    """E, its inverse, its partials and its connection forms at ``x``.
+
+    One metric evaluation, one metric-derivative evaluation and one
+    Cholesky factorization serve all four; a metric that is not positive
+    definite raises :class:`SingularMetricError`.
+    """
     dgx = chart.metric_deriv(x)
-    n = chart.dim
-    L = np.linalg.cholesky(gx)
-    Linv = np.linalg.inv(L)
-    E = Linv.T
-    out = np.empty((n, n, n))
-    for k in range(n):
-        Phi = Linv @ dgx[k] @ Linv.T
-        half = np.tril(Phi, -1) + 0.5 * np.diag(np.diag(Phi))
-        dL = L @ half
-        # E = L^-T  =>  dE = -L^-T dL^T L^-T
-        out[k] = -E @ dL.T @ E
-    return out
+    L, E = _cholesky(chart, x, chart.metric(x))
+    K, dE = _frame_deriv(E, dgx)
+    # omega[k] is the skew part of E^-1 nabla_k E = E^-1 d_k E + E^-1 Gamma_k E.
+    # With E^-1 = L^T the first term is -K[k]^T.  Since L^T g^-1 = E^T, the
+    # second is E^T (Gamma_k lowered) E / 2, whose skew part keeps only the
+    # antisymmetric S_k[l, j] = d_j g_kl - d_l g_kj of the lowered symbols.
+    D = dgx.transpose(1, 2, 0)  # D[k, l, j] = d_j g_kl
+    S = D - D.transpose(0, 2, 1)
+    omega = 0.5 * (K - K.transpose(0, 2, 1) + E.T @ S @ E)
+    return FrameJet(E=E, Einv=L.T, dE=dE, omega=omega)

@@ -176,7 +176,10 @@ def integrate(
     ``margin(y)`` positive means in-domain; a zero crossing terminates the
     run and sets the ``truncated`` flag.  ``reproject`` is applied to the
     state between chunks (drift correction); corrections are expected to be
-    below the integration tolerance and are recorded in ``meta``.
+    below the integration tolerance; the largest is recorded in ``meta``
+    as ``max_reprojection``, next to the cost of the run: ``rhs_evals``,
+    the right-hand side evaluations, and ``steps``, the accepted steps,
+    each summed over the chunks.
     """
     y0 = np.asarray(y0, dtype=float)
     if margin is not None and margin(y0) <= 0.0:
@@ -196,6 +199,7 @@ def integrate(
     interpolants: list = []
     truncated = False
     max_correction = 0.0
+    rhs_evals = steps = 0
 
     t_cur, y_cur = t0, y0
     while direction * (t_end - t_cur) > 1e-14:
@@ -216,6 +220,8 @@ def integrate(
             raise RuntimeError(f"integrator failed at t = {res.t[-1]:.6g} "
                                f"with state [{state}]: {res.message}")
         interpolants += res.sol.interpolants
+        rhs_evals += res.nfev
+        steps += len(res.t) - 1
         ts.append(res.t if not ts else res.t[1:])
         ys.append(res.y.T if not ys else res.y.T[1:])
         if res.status == 1:  # terminated by the domain-exit event
@@ -234,5 +240,5 @@ def integrate(
         y=np.concatenate(ys, axis=0),
         dense=OdeSolution(t_all, interpolants),
         truncated=truncated,
-        meta={"max_reprojection": max_correction},
+        meta={"max_reprojection": max_correction, "rhs_evals": rhs_evals, "steps": steps},
     )

@@ -22,7 +22,7 @@ from .errors import DimensionError, FrameError
 from .geometry import (
     FramePoint,
     cholesky_frame,
-    cholesky_frame_deriv,
+    cholesky_frame_jet,
     christoffel,
     riemann,
     curvature_form_from_lowered,
@@ -126,12 +126,7 @@ def frame_connection_form(chart: ChartMetric, x: Array, v: Array) -> Array:
     Returns the skew matrix ``w[a, b] = g(E_a, nabla_v E_b)`` for the
     canonical orthonormal frame E of the chart.
     """
-    E = cholesky_frame(chart, x)
-    dE = cholesky_frame_deriv(chart, x)
-    gam = christoffel(chart, x)
-    DvE = np.einsum("kab,k->ab", dE, v) + gamma_contract(gam, v) @ E
-    w = E.T @ chart.metric(x) @ DvE
-    return 0.5 * (w - w.T)
+    return np.einsum("kab,k->ab", cholesky_frame_jet(chart, x).omega, v)
 
 
 def distribution_basis(cfg: RollingConfiguration) -> list[tuple[Array, Array, Array]]:

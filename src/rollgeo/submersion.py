@@ -27,7 +27,7 @@ import numpy as np
 
 from .charts import Array, ChartMetric, central_diff, chart_by_name, fd_step
 from .errors import DimensionError, HorizontalityError
-from .geometry import cholesky_frame, cholesky_frame_deriv, christoffel
+from .geometry import cholesky_frame_jet
 from .integrate import DEFAULT_TOL, StateLayout, Trajectory, integrate
 
 
@@ -36,18 +36,21 @@ class SubmersionTestbed:
     """A coordinate submersion with connection coefficients ``A(x, y)``.
 
     ``A`` returns a (fiber_dim, base_dim) array; column i holds the fiber
-    components of the horizontal lift of d_{x_i}.  ``dA``, when present,
-    returns the pair ``(dAx, dAy)`` with ``dAx[j] = d A / d x_j`` and
-    ``dAy[m] = d A / d y_m``; finite differences are used otherwise.
-    ``margin(x, y)`` is positive on the working domain.  ``validate(x, y)``
-    checks a flow's start state and raises if the testbed's data are
-    unusable there; the flows call it once, before integrating.
+    components of the horizontal lift of d_{x_i}.  ``jet`` returns the
+    triple ``(A, dAx, dAy)`` with ``dAx[j] = d A / d x_j`` and
+    ``dAy[m] = d A / d y_m``, all three from one evaluation of the
+    testbed's data; the flows' right-hand sides make one ``jet`` call per
+    evaluation, and ``A`` alone serves the conversions between canonical
+    and adapted states.  ``margin(x, y)`` is positive on the working
+    domain.  ``validate(x, y)`` checks a flow's start state and raises if
+    the testbed's data are unusable there; the flows call it once, before
+    integrating.
     """
 
     base_dim: int
     fiber_dim: int
     A: Callable[[Array, Array], Array]
-    dA: Optional[Callable[[Array, Array], tuple[Array, Array]]] = None
+    jet: Callable[[Array, Array], tuple[Array, Array, Array]]
     margin: Callable[[Array, Array], float] = lambda x, y: 1.0
     validate: Callable[[Array, Array], None] = lambda x, y: None
     label: str = ""
@@ -55,21 +58,22 @@ class SubmersionTestbed:
 
     def coefficients(self, x: Array, y: Array) -> Array:
         A = np.asarray(self.A(np.asarray(x, float), np.asarray(y, float)), float)
-        if A.shape != (self.fiber_dim, self.base_dim):
-            raise DimensionError(
-                f"A has shape {A.shape}, expected ({self.fiber_dim}, {self.base_dim})"
-            )
+        self._check_shape("A", A, ())
         return A
 
-    def coefficient_derivs(self, x: Array, y: Array) -> tuple[Array, Array]:
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        if self.dA is not None:
-            dAx, dAy = self.dA(x, y)
-            return np.asarray(dAx, float), np.asarray(dAy, float)
-        h = fd_step(np.concatenate([x, y]))
-        return (central_diff(lambda p: self.coefficients(p, y), x, h),
-                central_diff(lambda p: self.coefficients(x, p), y, h))
+    def coefficient_derivs(self, x: Array, y: Array) -> tuple[Array, Array, Array]:
+        """``(A, dAx, dAy)`` at (x, y), from the testbed's ``jet``."""
+        A, dAx, dAy = (np.asarray(v, float) for v in
+                       self.jet(np.asarray(x, float), np.asarray(y, float)))
+        self._check_shape("A", A, ())
+        self._check_shape("dAx", dAx, (self.base_dim,))
+        self._check_shape("dAy", dAy, (self.fiber_dim,))
+        return A, dAx, dAy
+
+    def _check_shape(self, name: str, value: Array, lead: tuple) -> None:
+        want = lead + (self.fiber_dim, self.base_dim)
+        if value.shape != want:
+            raise DimensionError(f"{name} has shape {value.shape}, expected {want}")
 
 
 @dataclass(frozen=True)
@@ -148,8 +152,11 @@ def connection_coefficients(tb: SubmersionTestbed, x: Array, y: Array) -> tuple[
         R[k, i, j] = d_{x_i} A[k, j] - d_{x_j} A[k, i]
                      + A[m, i] d_{y_m} A[k, j] - A[m, j] d_{y_m} A[k, i].
     """
-    A = tb.coefficients(x, y)
-    dAx, dAy = tb.coefficient_derivs(x, y)
+    return _transport_and_curvature(*tb.coefficient_derivs(x, y))
+
+
+def _transport_and_curvature(A: Array, dAx: Array, dAy: Array) -> tuple[Array, Array]:
+    """``(Gbar, R)`` of :func:`connection_coefficients` from A and its partials."""
     Gbar = dAy.transpose(1, 2, 0)  # Gbar[m, i, k] = dAy[k, m, i]
     dxA = dAx.transpose(1, 0, 2)  # dxA[k, i, j] = d_{x_i} A[k, j]
     R = (
@@ -215,8 +222,7 @@ def lifted_hamiltonian_flow(
     def rhs(t, z):
         d = layout.split(z)
         x, y, Py = d["x"], d["y"], d["Py"]
-        A = tb.coefficients(x, y)
-        dAx, dAy = tb.coefficient_derivs(x, y)
+        A, dAx, dAy = tb.coefficient_derivs(x, y)
         Hx, Ha = H.gradient(x, d["Px"] + A.T @ Py)
         return layout.pack(x=Ha, y=A @ Ha,
                            Px=-Hx - np.einsum("i,k,jki->j", Ha, Py, dAx),
@@ -297,8 +303,8 @@ def projected_force_flow(
     def rhs(t, z):
         d = layout.split(z)
         x, b, y = d["x"], d["b"], d["y"]
-        A = tb.coefficients(x, y)
-        Gbar, R = connection_coefficients(tb, x, y)
+        A, dAx, dAy = tb.coefficient_derivs(x, y)
+        Gbar, R = _transport_and_curvature(A, dAx, dAy)
         Hx, Ha = H.gradient(x, d["a"])
         xdot = Ha
         return layout.pack(x=xdot, a=-Hx + np.einsum("k,kij,i->j", b, R, xdot),
@@ -324,11 +330,12 @@ def verify_projection(
     """Measure agreement between the lifted flow, pushed down, and the
     projected force flow started from the matched initial data.
 
-    Returns a report with the three sup-norm discrepancies: the base
-    covector path (x, a), the transported form b, and the fiber path y of
-    the horizontal lift, the drift of the lifted energy, and the two
-    trajectories as ``flows`` so callers can sample them without
-    re-integrating.
+    Both flows are sampled at ``samples`` evenly spaced times.  Returns a
+    report with the three sup-norm discrepancies: the base covector path
+    (x, a), the transported form b, and the fiber path y of the horizontal
+    lift, the drift of the lifted energy, the sample times as ``ts`` and
+    the lifted flow's states there, in the adapted presentation, as
+    ``lifted`` (one stacked array per slot ``x``, ``y``, ``a``, ``b``).
     """
     up = lifted_hamiltonian_flow(tb, H, s0, T, tol)
     down = projected_force_flow(tb, H, s0.x, s0.a, s0.b, T, tol, y0=s0.y)
@@ -336,10 +343,11 @@ def verify_projection(
     t1 = min(abs(up.t1), abs(down.t1)) * np.sign(T if T else 1.0)
     ts = np.linspace(0.0, t1, samples)
     ups = [canonical_to_state(tb, z) for z in up.sample(ts)]
+    lifted = {slot: np.array([getattr(s, slot) for s in ups]) for slot in ("x", "y", "a", "b")}
     d = force_layout(tb.base_dim, tb.fiber_dim).split(down.sample(ts))
 
     def sup_error(slot):
-        return float(np.abs(np.array([getattr(s, slot) for s in ups]) - d[slot]).max())
+        return float(np.abs(lifted[slot] - d[slot]).max())
 
     e0 = lifted_energy(tb, H, up.y[0])
     return {
@@ -348,7 +356,8 @@ def verify_projection(
         "sup_error_lift": sup_error("y"),
         "energy_drift": float(max(abs(H.value(s.x, s.a) - e0) for s in ups)),
         "truncated": bool(up.truncated or down.truncated),
-        "flows": (up, down),
+        "ts": ts,
+        "lifted": lifted,
     }
 
 
@@ -358,11 +367,11 @@ def verify_projection(
 def trivial(n: int = 2, nu: int = 1) -> SubmersionTestbed:
     """Product connection: A = 0, so the lift is flat and b is constant."""
     zero = np.zeros((nu, n))
-    dzero = (np.zeros((n, nu, n)), np.zeros((nu, nu, n)))
+    jet = (zero, np.zeros((n, nu, n)), np.zeros((nu, nu, n)))
     return SubmersionTestbed(
         base_dim=n, fiber_dim=nu,
         A=lambda x, y: zero,
-        dA=lambda x, y: dzero,
+        jet=lambda x, y: jet,
         label=f"trivial({n},{nu})",
         params={"n": n, "nu": nu},
     )
@@ -377,13 +386,20 @@ def heisenberg() -> SubmersionTestbed:
     dAx = np.zeros((2, 1, 2))
     dAx[0, 0, 1] = 0.5
     dAx[1, 0, 0] = -0.5
-    dzero = np.zeros((1, 1, 2))
+    dAy = np.zeros((1, 1, 2))
+
+    def A(x, y):
+        return np.array([[-0.5 * x[1], 0.5 * x[0]]])
+
     return SubmersionTestbed(
         base_dim=2, fiber_dim=1,
-        A=lambda x, y: np.array([[-0.5 * x[1], 0.5 * x[0]]]),
-        dA=lambda x, y: (dAx, dzero),
+        A=A,
+        jet=lambda x, y: (A(x, y), dAx, dAy),
         label="heisenberg",
     )
+
+
+_J = np.array([[0.0, -1.0], [1.0, 0.0]])  # d Rot / d psi = Rot J
 
 
 def _rot(psi: float) -> Array:
@@ -402,34 +418,59 @@ def frame_bundle(chart: ChartMetric, chart_hat: ChartMetric) -> SubmersionTestbe
     direction moves both frames by parallel transport and the second
     contact point by the no-slip rule, so horizontal curves are exactly
     the rolling motions.
+
+    The coefficients have the rows
+
+        A = [w(x)^T;  q;  c(xhat)^T q],   q = Ehat(xhat) Rot(psihat - psi) E(x)^-1,
+
+    with w_k and c_k the spins of the canonical frames along d_k (see
+    :class:`rollgeo.geometry.FrameJet`) and q the tangent isometry.  The
+    angles enter only through Rot(psihat - psi), a shift in x only through
+    the first chart and one in xhat only through the second, so every
+    partial is analytic except those of the spins, which are one-chart
+    central differences.  With J the quarter turn, d Rot / d psi = Rot J,
+
+        d_psi q = -Ehat Rot J E^-1 = -d_psihat q,   d_{x_j} q = -q d_jE E^-1,
+        d_{xhat_m} q = d_mEhat Ehat^-1 q.
+
+    ``jet`` thus costs one frame evaluation per chart plus four more per
+    chart for the spin differences.  The bracket of the horizontal lifts
+    of d_{x_1} and d_{x_2}, divided by the area density sqrt(det g), is
+    (kappa(x), 0, 0, kappahat(xhat)) in (psi, xhat, psihat): the relative
+    angle psihat - psi picks up the difference of the two Gaussian
+    curvatures per unit area swept.
     """
     if chart.dim != 2 or chart_hat.dim != 2:
         raise DimensionError("frame_bundle testbed requires two 2D charts")
 
+    def spin(ch, p):
+        return cholesky_frame_jet(ch, p).omega[:, 0, 1]
+
+    def rows(w, q, c):
+        # Stack [w; q; c q] along the row axis, for one A or a stack of partials.
+        return np.concatenate([w[..., None, :], q, (c @ q)[..., None, :]], axis=-2)
+
+    def frames(x, y):
+        F, Fh = cholesky_frame_jet(chart, x), cholesky_frame_jet(chart_hat, y[1:3])
+        R = _rot(y[3] - y[0])
+        return F, Fh, R, Fh.E @ R @ F.Einv
+
     def A(x, y):
-        psi, xhat, psihat = y[0], y[1:3], y[3]
-        E = cholesky_frame(chart, x)
-        dE = cholesky_frame_deriv(chart, x)
-        gam = christoffel(chart, x)
-        f = E @ _rot(psi)
-        Ehat = cholesky_frame(chart_hat, xhat)
-        dEhat = cholesky_frame_deriv(chart_hat, xhat)
-        gamhat = christoffel(chart_hat, xhat)
-        fhat = Ehat @ _rot(psihat)
-        q = fhat @ np.linalg.inv(f)
-        Einv = np.linalg.inv(E)
-        Ehatinv = np.linalg.inv(Ehat)
-        out = np.empty((4, 2))
-        for i in range(2):
-            B = Einv @ (-gam[:, i, :] @ E - dE[i])
-            psidot = 0.5 * (B[1, 0] - B[0, 1])
-            xhatdot = q[:, i]
-            gamhat_v = np.einsum("kil,i->kl", gamhat, xhatdot)
-            dEhat_v = np.einsum("kab,k->ab", dEhat, xhatdot)
-            Bh = Ehatinv @ (-gamhat_v @ Ehat - dEhat_v)
-            psihatdot = 0.5 * (Bh[1, 0] - Bh[0, 1])
-            out[:, i] = [psidot, xhatdot[0], xhatdot[1], psihatdot]
-        return out
+        F, Fh, _, q = frames(x, y)
+        return rows(F.omega[:, 0, 1], q, Fh.omega[:, 0, 1])
+
+    def jet(x, y):
+        F, Fh, R, q = frames(x, y)
+        w, c = F.omega[:, 0, 1], Fh.omega[:, 0, 1]
+        q_angle = Fh.E @ (R @ _J) @ F.Einv  # d q / d(psihat - psi)
+        q_x = -q @ F.dE @ F.Einv  # q_x[j] = d q / d x_j
+        q_xhat = Fh.dE @ Fh.Einv @ q  # q_xhat[m] = d q / d xhat_m
+        dw = central_diff(lambda p: spin(chart, p), x)  # dw[j, k] = d_j w_k
+        dc = central_diff(lambda p: spin(chart_hat, p), y[1:3])
+        dAx = rows(dw, q_x, c)
+        dAy = rows(np.zeros((4, 2)), np.stack([-q_angle, *q_xhat, q_angle]), c)
+        dAy[1:3, 3] += dc @ q  # the spin c itself moves with xhat
+        return rows(w, q, c), dAx, dAy
 
     def margin(x, y):
         return min(chart.margin(x), chart_hat.margin(y[1:3]))
@@ -439,7 +480,7 @@ def frame_bundle(chart: ChartMetric, chart_hat: ChartMetric) -> SubmersionTestbe
         chart_hat.validate(y[1:3])
 
     return SubmersionTestbed(
-        base_dim=2, fiber_dim=4, A=A, margin=margin, validate=validate,
+        base_dim=2, fiber_dim=4, A=A, jet=jet, margin=margin, validate=validate,
         label=f"frame-bundle({chart.label},{chart_hat.label})",
         params={"chart": chart.label, "chart_hat": chart_hat.label},
     )

@@ -254,6 +254,10 @@ def _all_finite(value) -> bool:
     return True
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate_scenario(scenario: dict) -> dict:
     """Schema and referential validation; returns the scenario unchanged."""
     if not isinstance(scenario, dict):
@@ -266,6 +270,10 @@ def validate_scenario(scenario: dict) -> dict:
             raise ScenarioError(f"kind {kind!r} requires field {key!r}")
     if not _all_finite(scenario):
         raise ScenarioError("scenario contains non-finite numeric fields")
+    if not _is_number(scenario["T"]) or scenario["T"] == 0:
+        raise ScenarioError(f"field 'T' must be a nonzero number, got {scenario['T']!r}")
+    if "tol" in scenario and not (_is_number(scenario["tol"]) and scenario["tol"] > 0):
+        raise ScenarioError(f"field 'tol' must be a positive number, got {scenario['tol']!r}")
     for key in ("chart", "chart_hat"):
         if key in scenario:
             try:
@@ -421,7 +429,11 @@ def _run_verify_lift(scenario: dict, samples: int):
         H = kinetic_hamiltonian(chart_catalog.chart_by_name(ham))
     init = scenario["initial"]
     s0 = CotangentState(x=init["x"], y=init["y"], a=init["a"], b=init["b"])
-    report = verify_projection(tb, H, s0, float(scenario["T"]), float(scenario["tol"]))
+    # The check runs on at least 200 points; the table takes every
+    # stride-th of its states, which lie on linspace(0, T, samples).
+    stride = -(-199 // (samples - 1)) if samples > 1 else 1
+    report = verify_projection(tb, H, s0, float(scenario["T"]), float(scenario["tol"]),
+                               samples=max((samples - 1) * stride + 1, 200))
     invariants = {
         "sup_error": max(report["sup_error_lambda"], report["sup_error_beta"],
                          report["sup_error_lift"]),
@@ -430,18 +442,13 @@ def _run_verify_lift(scenario: dict, samples: int):
         "sup_error_lift": report["sup_error_lift"],
         "energy_drift": report["energy_drift"],
     }
-    up, _ = report["flows"]
-    ts = up.grid(samples)
     n, nu = tb.base_dim, tb.fiber_dim
     header = (["t"] + [f"x{i+1}" for i in range(n)]
               + [f"y{i+1}" for i in range(nu)]
               + [f"a{i+1}" for i in range(n)] + [f"b{i+1}" for i in range(nu)])
-    rows = []
-    from .submersion import canonical_to_state
-
-    for t, z in zip(ts, up.sample(ts)):
-        s = canonical_to_state(tb, z)
-        rows.append([t, *s.x, *s.y, *s.a, *s.b])
+    ts, lifted = report["ts"][::stride][:samples], report["lifted"]
+    rows = [[t, *x, *y, *a, *b] for t, x, y, a, b in
+            zip(ts, *(lifted[slot][::stride] for slot in "xyab"))]
     return {"invariants": invariants, "truncated": report["truncated"]}, header, rows
 
 

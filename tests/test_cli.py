@@ -66,6 +66,20 @@ class TestRunErrors:
         assert result.exit_code == 3
         assert "bracket-generating" in result.output
 
+    @pytest.mark.parametrize("option, value, field", [
+        ("--T", "0", "'T'"),
+        ("--tol", "-1", "'tol'"),
+        ("--tol", "0", "'tol'"),
+    ])
+    def test_degenerate_horizon_or_tolerance_is_validation_error(
+            self, runner, tmp_path, option, value, field):
+        result = _run(runner, "run", "sphere-on-plane-geodesic", option, value,
+                      "--output-dir", str(tmp_path))
+        assert result.exit_code == 3
+        assert field in result.output
+        assert "Traceback" not in result.output
+        assert not list(tmp_path.iterdir())
+
     def test_truncation_is_numerical_error_with_artifacts(self, runner, tmp_path):
         scenario = tmp_path / "poleward.json"
         scenario.write_text(json.dumps({

@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 from rollgeo import charts
+from rollgeo.charts import central_diff, fd_step
 from rollgeo.errors import HorizontalityError
-from rollgeo.geometry import christoffel, sharp
+from rollgeo.geometry import (
+    cholesky_frame,
+    cholesky_frame_deriv,
+    christoffel,
+    gauss_curvature,
+    sharp,
+)
 from rollgeo.submersion import (
-    SubmersionTestbed,
     CotangentState,
     canonical_to_state,
     connection_coefficients,
@@ -29,6 +35,66 @@ def _rot(t):
     return np.array([[c, -s], [s, c]])
 
 
+def _fd_partials(tb, x, y):
+    """Central differences of ``tb.A`` in x and in y, with one joint step."""
+    h = fd_step(np.concatenate([x, y]))
+    return (central_diff(lambda p: tb.coefficients(p, y), x, h),
+            central_diff(lambda p: tb.coefficients(x, p), y, h))
+
+
+def _frame_bundle_A_by_transport(chart, chart_hat, x, y):
+    """Frame-bundle coefficients column by column: each frame angle's rate
+    from the covariant derivative of the canonical frame, the second
+    contact point's velocity through the tangent isometry q."""
+    psi, xhat, psihat = y[0], y[1:3], y[3]
+    E = cholesky_frame(chart, x)
+    dE = cholesky_frame_deriv(chart, x)
+    gam = christoffel(chart, x)
+    Ehat = cholesky_frame(chart_hat, xhat)
+    dEhat = cholesky_frame_deriv(chart_hat, xhat)
+    gamhat = christoffel(chart_hat, xhat)
+    q = Ehat @ _rot(psihat) @ np.linalg.inv(E @ _rot(psi))
+    out = np.empty((4, 2))
+    for i in range(2):
+        B = np.linalg.inv(E) @ (-gam[:, i, :] @ E - dE[i])
+        v = q[:, i]
+        Bh = np.linalg.inv(Ehat) @ (-np.einsum("kil,i->kl", gamhat, v) @ Ehat
+                                    - np.einsum("kab,k->ab", dEhat, v))
+        out[:, i] = [0.5 * (B[1, 0] - B[0, 1]), v[0], v[1],
+                     0.5 * (Bh[1, 0] - Bh[0, 1])]
+    return out
+
+
+# Chart pairs of the frame-bundle identities, with a sampler of contact
+# points inside both charts.
+def _colatitude_point(rng):
+    return np.array([rng.uniform(0.5, 2.6), rng.uniform(-3.0, 3.0)])
+
+
+def _planar_point(rng):
+    return rng.uniform(-1.0, 1.0, 2)
+
+
+FRAME_BUNDLE_PAIRS = {
+    "sphere/euclidean": (charts.sphere(1.0), charts.euclidean(2),
+                         _colatitude_point, _planar_point),
+    "paraboloid/sphere": (charts.paraboloid(1.0), charts.sphere(2.0),
+                          _planar_point, _colatitude_point),
+    "sphere/paraboloid": (charts.sphere(1.0), charts.paraboloid(1.0),
+                          _colatitude_point, _planar_point),
+}
+
+
+def _frame_bundle_points(pair, count=5, seed=7):
+    """``count`` states (x, y) of one chart pair, frame angles in [-3, 3]."""
+    chart, chart_hat, draw, draw_hat = FRAME_BUNDLE_PAIRS[pair]
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        x, xhat = draw(rng), draw_hat(rng)
+        psi, psihat = rng.uniform(-3.0, 3.0, 2)
+        yield chart, chart_hat, x, np.array([psi, *xhat, psihat])
+
+
 class TestConnectionCoefficients:
     def test_trivial_vanishes(self):
         tb = trivial(2, 3)
@@ -48,9 +114,9 @@ class TestConnectionCoefficients:
 
     def test_analytic_derivs_match_fd(self):
         tb = heisenberg()
-        bare = SubmersionTestbed(base_dim=2, fiber_dim=1, A=tb.A, label="bare")
         x, y = np.array([0.5, 1.1]), np.array([0.2])
-        for got, want in zip(tb.coefficient_derivs(x, y), bare.coefficient_derivs(x, y)):
+        _, dAx, dAy = tb.coefficient_derivs(x, y)
+        for got, want in zip((dAx, dAy), _fd_partials(tb, x, y)):
             assert np.abs(got - want).max() < 1e-9
 
     def test_curvature_antisymmetric(self):
@@ -71,6 +137,31 @@ class TestConnectionCoefficients:
         _, R = connection_coefficients(tb, x, y)
         dens = np.sqrt(np.linalg.det(chart.metric(x)))
         assert abs(abs(R[0, 0, 1]) - dens) < 1e-6
+
+    @pytest.mark.parametrize("pair", sorted(FRAME_BUNDLE_PAIRS))
+    def test_frame_bundle_bracket_is_the_curvature_pair(self, pair):
+        # Yang-Mills field of the rolling bundle: per unit area on the
+        # first surface, the bracket of the horizontal lifts turns the
+        # first frame at kappa and the second at kappahat and moves the
+        # contact point not at all.
+        for chart, chart_hat, x, y in _frame_bundle_points(pair):
+            tb = frame_bundle(chart, chart_hat)
+            _, R = connection_coefficients(tb, x, y)
+            want = [gauss_curvature(chart, x), 0.0, 0.0, gauss_curvature(chart_hat, y[1:3])]
+            got = R[:, 0, 1] / np.sqrt(np.linalg.det(chart.metric(x)))
+            assert np.abs(got - want).max() < 1e-7
+
+    @pytest.mark.parametrize("pair", sorted(FRAME_BUNDLE_PAIRS))
+    def test_frame_bundle_jet_matches_fd_and_transport(self, pair):
+        for chart, chart_hat, x, y in _frame_bundle_points(pair):
+            tb = frame_bundle(chart, chart_hat)
+            A, dAx, dAy = tb.coefficient_derivs(x, y)
+            fd_x, fd_y = _fd_partials(tb, x, y)
+            assert np.abs(dAx - fd_x).max() < 1e-6
+            assert np.abs(dAy - fd_y).max() < 1e-6
+            want = _frame_bundle_A_by_transport(chart, chart_hat, x, y)
+            assert np.abs(A - want).max() < 1e-14
+            assert np.array_equal(tb.coefficients(x, y), A)
 
     def test_frame_bundle_flat_on_flat_is_flat(self):
         tb = frame_bundle(charts.euclidean(2), charts.euclidean(2))

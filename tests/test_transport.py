@@ -82,6 +82,21 @@ class TestTrajectoryDerivative:
         assert np.abs(dzs[:, 0] + np.sin(ts)).max() < 1e-8
         assert np.abs(dzs[:, 1] + np.cos(ts)).max() < 1e-8
 
+    @pytest.mark.parametrize("margin", [None, lambda y: 0.5 + y[0]])
+    def test_cost_in_meta_counts_every_call_and_step(self, margin):
+        # the oscillator over six chunks; with the margin it is cut at
+        # cos t = -0.5, inside the fifth chunk
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return np.array([y[1], -y[0]])
+
+        traj = integrate(rhs, np.array([1.0, 0.0]), 3.0, tol=1e-10, margin=margin)
+        assert traj.truncated == (margin is not None)
+        assert traj.meta["rhs_evals"] == len(calls)
+        assert traj.meta["steps"] == len(traj.t) - 1
+
     def test_chunk_boundaries_take_the_earlier_chunk(self):
         # y' = 1 in chunks of 0.5, each boundary state shifted by 1e-3: at a
         # boundary the dense output is the earlier chunk's, before the shift.
