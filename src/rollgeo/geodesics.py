@@ -37,7 +37,8 @@ from .geometry import (
     gauss_curvature,
     riemann,
 )
-from .integrate import DEFAULT_TOL, DERIV_STEP, Skew, StateLayout, Trajectory, integrate
+from .integrate import (DEFAULT_TOL, DENSE_MAX_STEP, DERIV_STEP, Skew, StateLayout,
+                        Trajectory, integrate)
 from .integrate import skew_to_vec, vec_to_skew  # noqa: F401 (re-exported)
 from .rolling import RollingConfiguration, so_projection
 from .transport import gamma_contract
@@ -205,9 +206,13 @@ def integrate_geodesic(
     s0: RollingGeodesicState,
     T: float,
     tol: float = DEFAULT_TOL,
-    max_step: float = 0.02,
+    max_step: float = DENSE_MAX_STEP,
 ) -> GeodesicRun:
-    """Integrate the normal-geodesic system from ``s0`` for time ``T``."""
+    """Integrate the normal-geodesic system from ``s0`` for time ``T``.
+
+    The default step cap keeps the dense output fit for differentiation;
+    a caller that reads only the end state may pass ``np.inf``.
+    """
     chart, chart_hat = s0.cfg.chart, s0.cfg.chart_hat
     layout = geodesic_layout(chart.dim)
     chart.validate(s0.cfg.x)
@@ -316,7 +321,6 @@ def reduce_2d(
     s0: Pendulum2DState,
     T: float,
     tol: float = DEFAULT_TOL,
-    max_step: float = 0.02,
 ) -> PendulumRun:
     """Integrate the reduced surface-on-surface geodesic system.
 
@@ -364,7 +368,7 @@ def reduce_2d(
     z0 = PENDULUM_LAYOUT.pack(x=s0.cfg.x, xhat=s0.cfg.xhat, f=s0.cfg.f, fhat=s0.cfg.fhat,
                               theta=s0.theta, L=s0.L, b1=s0.b1, b2=s0.b2, C=0.0, S=0.0)
     traj = integrate(rhs, z0, T, tol, margin=margin, reproject=reproject,
-                     max_step=max_step)
+                     max_step=DENSE_MAX_STEP)
     nodes = PENDULUM_LAYOUT.split(traj.y)
     traj.meta["rho_singular"] = any(
         abs(gauss_curvature(chart, x) - gauss_curvature(chart_hat, xhat)) < RHO_FLOOR
@@ -454,7 +458,6 @@ def rn_rolling_flow(
     T: float,
     tol: float = DEFAULT_TOL,
     form: str = "a",
-    max_step: float = 0.02,
 ) -> Trajectory:
     """Geodesic rolling of a surface on flat space, in two formulations.
 
@@ -520,7 +523,7 @@ def rn_rolling_flow(
     z0 = layout.pack(x=np.asarray(x0, float), f=np.asarray(f0, float),
                      u=np.asarray(u0, float), w=np.zeros(n))
     return integrate(rhs, z0, T, tol, margin=margin, reproject=reproject,
-                     max_step=max_step)
+                     max_step=DENSE_MAX_STEP)
 
 
 def charge_monitor(run: GeodesicRun, samples: int = 2000) -> dict:

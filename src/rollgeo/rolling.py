@@ -27,7 +27,7 @@ from .geometry import (
     riemann,
     curvature_form_from_lowered,
 )
-from .integrate import DEFAULT_TOL, StateLayout, Trajectory, integrate
+from .integrate import DEFAULT_TOL, DENSE_MAX_STEP, StateLayout, Trajectory, integrate
 from .transport import gamma_contract
 
 
@@ -178,7 +178,6 @@ def develop(
     curve_dot: Callable[[float], Array],
     T: float,
     tol: float = DEFAULT_TOL,
-    max_step: float = 0.02,
 ) -> RollingPath:
     """Roll ``cfg0`` along the prescribed base curve without slip or twist.
 
@@ -222,7 +221,7 @@ def develop(
 
     z0 = layout.pack(xhat=cfg0.xhat, f=cfg0.f, fhat=cfg0.fhat, clock=0.0)
     traj = integrate(rhs, z0, T, tol, margin=margin, reproject=reproject,
-                     max_step=max_step)
+                     max_step=DENSE_MAX_STEP)
     return RollingPath(chart=chart, chart_hat=chart_hat,
                        curve=curve, curve_dot=curve_dot, traj=traj)
 

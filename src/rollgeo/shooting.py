@@ -102,10 +102,10 @@ def endpoint_map(
 
 
 def _residual_vector(prob: ShootingProblem, p: Array) -> tuple[Array, Optional[GeodesicRun]]:
-    # endpoint values are stepper nodes, so the dense-output step cap used
-    # by the residual diagnostics is unnecessary here
+    # A shot reads only its end state, a stepper node, so it runs without
+    # the step cap that keeps dense output fit for differentiation.
     run = integrate_geodesic(_params_to_state(prob.cfg0, p, prob.a),
-                             prob.T, prob.integrator_tol, max_step=0.25)
+                             prob.T, prob.integrator_tol, max_step=np.inf)
     if run.truncated:
         return None, run
     end = run.state(run.t1).cfg

@@ -208,7 +208,6 @@ def lifted_hamiltonian_flow(
     s0: CotangentState,
     T: float,
     tol: float = DEFAULT_TOL,
-    max_step: float = 0.05,
 ) -> Trajectory:
     """Canonical Hamiltonian flow of the lifted Hamiltonian upstairs.
 
@@ -232,8 +231,7 @@ def lifted_hamiltonian_flow(
         d = layout.split(z)
         return tb.margin(d["x"], d["y"])
 
-    return integrate(rhs, state_to_canonical(tb, s0), T, tol,
-                     margin=margin, max_step=max_step)
+    return integrate(rhs, state_to_canonical(tb, s0), T, tol, margin=margin)
 
 
 def nabla_bar_form_transport(
@@ -283,7 +281,6 @@ def projected_force_flow(
     T: float,
     tol: float = DEFAULT_TOL,
     y0: Optional[Array] = None,
-    max_step: float = 0.05,
 ) -> Trajectory:
     """Base Hamiltonian flow with the curvature force, downstairs.
 
@@ -316,7 +313,7 @@ def projected_force_flow(
 
     z0 = layout.pack(x=np.asarray(x0, float), a=np.asarray(a0, float),
                      b=np.asarray(beta0, float), y=np.asarray(y0, float))
-    return integrate(rhs, z0, T, tol, margin=margin, max_step=max_step)
+    return integrate(rhs, z0, T, tol, margin=margin)
 
 
 def verify_projection(

@@ -8,7 +8,7 @@ import numpy as np
 
 from .charts import Array, ChartMetric
 from .geometry import christoffel
-from .integrate import DEFAULT_TOL, Trajectory, integrate
+from .integrate import DEFAULT_TOL, DENSE_MAX_STEP, Trajectory, integrate
 
 
 def gamma_contract(gam: Array, v: Array) -> Array:
@@ -67,13 +67,12 @@ def geodesic_flow(
     v0: Array,
     T: float,
     tol: float = DEFAULT_TOL,
-    max_step: float = 0.02,
 ) -> Trajectory:
     """Geodesic with initial point ``x0`` and velocity ``v0``.
 
     State layout: ``y = [x, v]``.  Exits through the chart margin truncate
-    the run and set the flag.  The step cap keeps the dense-output
-    interpolation error below the residual tolerances used by the checks.
+    the run and set the flag.  :func:`geodesic_residual` differentiates
+    the dense output, so the steps are capped at ``DENSE_MAX_STEP``.
     """
     n = chart.dim
     x0 = chart.check_point(x0)
@@ -87,7 +86,7 @@ def geodesic_flow(
         return chart.margin(y[:n])
 
     return integrate(rhs, np.concatenate([x0, np.asarray(v0, dtype=float)]), T, tol,
-                     margin=margin, max_step=max_step)
+                     margin=margin, max_step=DENSE_MAX_STEP)
 
 
 def geodesic_residual(chart: ChartMetric, traj: Trajectory, m: int = 200) -> float:

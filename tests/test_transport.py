@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from rollgeo import charts
+from rollgeo.errors import SingularMetricError
 from rollgeo.geometry import orthonormal_frame_at
 from rollgeo.integrate import DERIV_STEP, integrate
 from rollgeo.transport import (
@@ -96,6 +99,26 @@ class TestTrajectoryDerivative:
         assert traj.truncated == (margin is not None)
         assert traj.meta["rhs_evals"] == len(calls)
         assert traj.meta["steps"] == len(traj.t) - 1
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, SingularMetricError])
+    def test_rhs_error_becomes_integrator_failure(self, error):
+        # the oscillator's right-hand side fails once t >= 0.3, as a solve
+        # with a singular matrix does when a stage lands on the singularity
+        def rhs(t, y):
+            if t >= 0.3:
+                raise error("Singular matrix")
+            return np.array([y[1], -y[0]])
+
+        with pytest.raises(RuntimeError, match="integrator failed") as info:
+            integrate(rhs, np.array([1.0, 0.0]), 1.0, tol=1e-10)
+        m = re.search(r"at t = (\S+) with state \[([^\]]*)\]: Singular matrix$",
+                      str(info.value))
+        assert m is not None
+        t = float(m.group(1))
+        assert 0.3 <= t <= 1.0
+        state = [float(v) for v in m.group(2).split(",")]
+        assert len(state) == 2 and abs(state[0] ** 2 + state[1] ** 2 - 1.0) < 1e-3
+        assert isinstance(info.value.__cause__, error)
 
     def test_chunk_boundaries_take_the_earlier_chunk(self):
         # y' = 1 in chunks of 0.5, each boundary state shifted by 1e-3: at a
