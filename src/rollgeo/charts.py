@@ -7,13 +7,14 @@ first metric derivatives may be attached; finite differences are used
 otherwise.  Runs that leave the chart domain are truncated with an
 explicit flag, never continued.
 
-``ChartMetric.metric`` is the cheap evaluation the flows' right-hand
-sides make at every stage: it checks the point's shape and domain and
-returns the coefficients.  ``ChartMetric.validate`` adds the symmetry and
-positive-definiteness checks.  The flows run it where states are
-accepted: at their start state and at every chunk boundary, where the
-frames are re-orthonormalized.  Between chunk boundaries the chart-exit
-event keeps accepted states in the domain.
+``ChartMetric.metric`` and ``ChartMetric.metric_jet`` (the coefficients
+with their first partials) are the cheap evaluations the flows'
+right-hand sides make at every stage: they check the point's shape and
+domain once and return the coefficients.  ``ChartMetric.validate`` adds
+the symmetry and positive-definiteness checks.  The flows run it where
+states are accepted: at their start state and at every chunk boundary,
+where the frames are re-orthonormalized.  Between chunk boundaries the
+chart-exit event keeps accepted states in the domain.
 """
 
 from __future__ import annotations
@@ -93,12 +94,16 @@ class ChartMetric:
             ) from exc
         return gx
 
-    def metric_deriv(self, x: Array) -> Array:
-        """First partials of the metric, analytic when available else central FD."""
+    def metric_jet(self, x: Array) -> tuple[Array, Array]:
+        """Metric coefficients and their first partials at ``x``, one point check.
+
+        The partials are ``dg`` when attached, else central differences of ``g``.
+        """
         x = self.check_point(x)
-        if self.dg is not None:
-            return np.asarray(self.dg(x), dtype=float)
-        return central_diff(lambda p: np.asarray(self.g(p)), x)
+        gx = np.asarray(self.g(x), dtype=float)
+        if self.dg is None:
+            return gx, central_diff(lambda p: np.asarray(self.g(p)), x)
+        return gx, np.asarray(self.dg(x), dtype=float)
 
 
 def fd_step(x: Array, scale: float = 1e-5) -> float:
@@ -204,12 +209,9 @@ def paraboloid(c: float = 1.0) -> ChartMetric:
         return eye + c2 * np.outer(x, x)
 
     def dg(x):
-        out = np.zeros((2, 2, 2))
-        for k in range(2):
-            for i in range(2):
-                for j in range(2):
-                    out[k, i, j] = c2 * ((i == k) * x[j] + x[i] * (j == k))
-        return out
+        # dg[k, i, j] = c^2 (delta_ik x_j + x_i delta_jk)
+        part = eye[:, :, None] * x
+        return c2 * (part + part.transpose(0, 2, 1))
 
     def kappa(x):
         return c2 / (1.0 + c2 * (x @ x)) ** 2

@@ -20,6 +20,17 @@ that choice the 2D system reduces exactly to
     b1dot = thetadot b2,               b2dot = a L kappahat - thetadot b1,
 
 which is what ``reduce_2d`` integrates directly.
+
+For surfaces the charge lives in so(2): Lam = L E2 with one scalar L, and
+each curvature form is a multiple of E2, Om(f)(X, f_j) = c_j E2 with
+c_j = kappa rho (X_0 f_1j - X_1 f_0j), where rho = sqrt(det g) is the area
+density.  Since <L E2, c E2> = L c, ``geodesic_rhs`` evaluates the surface
+system in closed form,
+
+    udot_j = L (c_j - chat_j),   vdot_j = L chat_j,   Ldot = u_0 v_1 - u_1 v_0,
+
+from one metric evaluation, one metric derivative and one curvature per
+surface.  Other dimensions go through the curvature tensor.
 """
 
 from __future__ import annotations
@@ -33,6 +44,7 @@ from .charts import Array, ChartMetric, central_diff
 from .errors import DimensionError
 from .geometry import (
     christoffel,
+    christoffel_from,
     curvature_form_from_lowered,
     gauss_curvature,
     riemann,
@@ -183,8 +195,11 @@ class GeodesicRun:
 
 
 def geodesic_rhs(chart: ChartMetric, chart_hat: ChartMetric, t: float, z: Array) -> Array:
+    """Right-hand side of the normal-geodesic system at state ``z``."""
     n = chart.dim
     layout = geodesic_layout(n)
+    if n == 2:
+        return _surface_rhs(layout.slices, chart, chart_hat, z)
     d = layout.split(z)
     x, xhat, f, fhat = d["x"], d["xhat"], d["f"], d["fhat"]
     u, v, lam = d["u"], d["v"], d["lam"]
@@ -200,6 +215,34 @@ def geodesic_rhs(chart: ChartMetric, chart_hat: ChartMetric, t: float, z: Array)
     vdot = np.array([pair(lam, omhat[j]) for j in range(n)])
     return layout.pack(x=xdot, xhat=xhatdot, f=fdot, fhat=fhatdot, u=udot, v=vdot,
                        lam=np.outer(u, v) - np.outer(v, u))
+
+
+def _surface_rhs(slots: dict, chart: ChartMetric, chart_hat: ChartMetric, z: Array) -> Array:
+    """``geodesic_rhs`` for surfaces, in the closed form of the module docstring.
+
+    Both surfaces' terms are computed as stacks, row 0 for ``chart`` and
+    row 1 for ``chart_hat``; the x, xhat slots and the f, fhat slots are
+    adjacent in the state.
+    """
+    points = slice(slots["x"].start, slots["xhat"].stop)
+    frames = slice(slots["f"].start, slots["fhat"].stop)
+    u, v, L = z[slots["u"]], z[slots["v"]], z[slots["lam"].start]
+    xs, fs = z[points].reshape(2, 2), z[frames].reshape(2, 2, 2)
+    g, dg, kappa = np.empty((2, 2, 2)), np.empty((2, 2, 2, 2)), np.empty(2)
+    for i, surface in enumerate((chart, chart_hat)):
+        g[i], dg[i] = surface.metric_jet(xs[i])
+        kappa[i] = (surface.kappa(xs[i]) if surface.kappa is not None
+                    else gauss_curvature(surface, xs[i]))
+    rho = np.sqrt(g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0])
+    xdot = fs @ u
+    c = (kappa * rho)[:, None] * (xdot[:, :1] * fs[:, 1] - xdot[:, 1:] * fs[:, 0])
+    out = np.empty(len(z))
+    out[points] = xdot.ravel()
+    out[frames] = (-gamma_contract(christoffel_from(g, dg), xdot) @ fs).ravel()
+    out[slots["u"]] = L * (c[0] - c[1])
+    out[slots["v"]] = L * c[1]
+    out[slots["lam"]] = u[0] * v[1] - u[1] * v[0]
+    return out
 
 
 def integrate_geodesic(

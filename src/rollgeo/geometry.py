@@ -68,13 +68,25 @@ class FramePoint:
 
 def christoffel(chart: ChartMetric, x: Array) -> Array:
     """Levi-Civita symbols Gamma^k_ij of the chart metric at ``x``."""
-    gx = chart.metric(x)
-    dgx = chart.metric_deriv(x)
+    return christoffel_from(*chart.metric_jet(x))
+
+
+def christoffel_from(gx: Array, dgx: Array) -> Array:
+    """Gamma^k_ij from the metric coefficients ``gx`` and partials ``dgx[k] = d_k g``.
+
+    Leading axes are a stack: ``gx[..., i, j]`` and ``dgx[..., k, i, j]``
+    give ``Gamma[..., k, i, j]``.  A singular ``gx`` raises ``LinAlgError``.
+    """
     ginv = np.linalg.inv(gx)
-    # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij); dgx[k] = d_k g
-    low = dgx + dgx.transpose(1, 0, 2) - dgx.transpose(1, 2, 0)
-    # low[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij  (g symmetric)
-    return 0.5 * np.einsum("kl,ijl->kij", ginv, low)
+    # Gamma^k_ij = 1/2 g^{kl} low_ijl with low_ijl = d_i g_jl + d_j g_il - d_l g_ij
+    # (g symmetric).  swapped[..., i, j, l] = d_j g_il, and with its last two
+    # axes swapped it is d_l g_ij.  The contraction with g^{kl} is a matmul,
+    # several times cheaper than einsum on these small arrays; it gives
+    # [..., i, j, k], which the last two swaps turn into [..., k, i, j].
+    swapped = dgx.swapaxes(-3, -2)
+    low = dgx + swapped - swapped.swapaxes(-2, -1)
+    gam = low @ ginv.swapaxes(-2, -1)[..., None, :, :]
+    return 0.5 * gam.swapaxes(-2, -1).swapaxes(-3, -2)
 
 
 def christoffel_deriv(chart: ChartMetric, x: Array) -> Array:
@@ -196,8 +208,8 @@ def cholesky_frame(chart: ChartMetric, x: Array) -> Array:
 
 def cholesky_frame_deriv(chart: ChartMetric, x: Array) -> Array:
     """Partials dE[k] = d E / d x_k of the canonical frame, analytic in dg."""
-    E = _cholesky(chart, x, chart.metric(x))[1]
-    return _frame_deriv(E, chart.metric_deriv(x))[1]
+    gx, dgx = chart.metric_jet(x)
+    return _frame_deriv(_cholesky(chart, x, gx)[1], dgx)[1]
 
 
 @lru_cache(maxsize=None)
@@ -243,8 +255,8 @@ def cholesky_frame_jet(chart: ChartMetric, x: Array) -> FrameJet:
     Cholesky factorization serve all four; a metric that is not positive
     definite raises :class:`SingularMetricError`.
     """
-    dgx = chart.metric_deriv(x)
-    L, E = _cholesky(chart, x, chart.metric(x))
+    gx, dgx = chart.metric_jet(x)
+    L, E = _cholesky(chart, x, gx)
     K, dE = _frame_deriv(E, dgx)
     # omega[k] is the skew part of E^-1 nabla_k E = E^-1 d_k E + E^-1 Gamma_k E.
     # With E^-1 = L^T the first term is -K[k]^T.  Since L^T g^-1 = E^T, the

@@ -18,7 +18,13 @@ run uncapped.
 Integration proceeds in chunks so that state corrections such as frame
 re-orthonormalization can be applied between chunks without disturbing the
 stepper's order, and so that a domain-margin event can truncate a run with
-an explicit flag.  The chunks' step interpolants are joined into one
+an explicit flag.  Each chunk starts with the last step of the one before
+that was not shortened to land on its end, so a restart neither spends
+right-hand sides on choosing a first step nor starts short.  A chunk that
+makes more than :data:`MAX_CHUNK_RHS` right-hand sides fails: that is the
+stepper grinding towards a singularity, not a flow of the library.
+
+The chunks' step interpolants are joined into one
 :class:`scipy.integrate.OdeSolution`, so a run is sampled at a whole
 vector of times in one call; at a chunk boundary the earlier chunk's
 interpolant (the state before reprojection) is used.
@@ -50,6 +56,12 @@ DERIV_STEP = 1e-6
 # unit tests up to 1.8 times over their tolerances; at 0.2 the worst is 0.64
 # of its tolerance, at 0.1 it is 0.11.
 DENSE_MAX_STEP = 0.1
+
+# Right-hand sides allowed in one chunk, over 100 times what the largest
+# catalog chunk makes (92).  A run into a singularity of the metric would
+# otherwise grind on at ever smaller steps (79,103 right-hand sides on the
+# degenerating metric of the tests) before the stepper gives up.
+MAX_CHUNK_RHS = 10_000
 
 
 @lru_cache(maxsize=None)
@@ -225,9 +237,10 @@ def integrate(
     the right-hand side evaluations, and ``steps``, the accepted steps,
     each summed over the chunks.
 
-    A failure of the stepper, or a ``LinAlgError`` or library error raised
-    by ``rhs``, becomes a ``RuntimeError`` naming the time and state of
-    the failing step or call (the raised error is chained).
+    A failure of the stepper, a chunk that makes more than
+    ``MAX_CHUNK_RHS`` right-hand sides, or a ``LinAlgError`` or library
+    error raised by ``rhs``, becomes a ``RuntimeError`` naming the time
+    and state of the failing step or call (the raised error is chained).
     """
     y0 = np.asarray(y0, dtype=float)
     if margin is not None and margin(y0) <= 0.0:
@@ -242,7 +255,13 @@ def integrate(
         exit_event.terminal = True  # type: ignore[attr-defined]
         events = [exit_event]
 
+    calls = 0  # right-hand sides in the current chunk
+
     def checked_rhs(t, y):
+        nonlocal calls
+        calls += 1
+        if calls > MAX_CHUNK_RHS:
+            raise _failure(t, y, f"more than {MAX_CHUNK_RHS} right-hand sides in one chunk")
         try:
             return rhs(t, y)
         except (np.linalg.LinAlgError, RollgeoError) as exc:
@@ -255,9 +274,16 @@ def integrate(
     max_correction = 0.0
     rhs_evals = steps = 0
 
+    # Steps of exactly max_step add up, with rounding, to just short of a
+    # chunk's end and leave a last step of about 1e-16 (a whole step's
+    # right-hand sides); a cap 1e-9 wider lets the last full step land on it.
+    step_cap = max_step * (1 + 1e-9)
     t_cur, y_cur = t0, y0
+    first_step = None  # solve_ivp picks the first chunk's first step
     while direction * (t_end - t_cur) > 1e-14:
-        t_next = t_cur + direction * min(chunk, abs(t_end - t_cur))
+        span = min(chunk, abs(t_end - t_cur))
+        t_next = t_cur + direction * span
+        calls = 0
         res = solve_ivp(
             checked_rhs,
             (t_cur, t_next),
@@ -267,7 +293,8 @@ def integrate(
             atol=tol,
             dense_output=True,
             events=events,
-            max_step=max_step,
+            max_step=step_cap,
+            first_step=None if first_step is None else min(first_step, span),
         )
         if not res.success and res.status != 1:
             raise _failure(res.t[-1], res.y[:, -1], res.message)
@@ -279,6 +306,10 @@ def integrate(
         if res.status == 1:  # terminated by the domain-exit event
             truncated = True
             break
+        # The last step is shortened to land on the chunk's end; the one
+        # before it, if any, is the last that the error control chose freely.
+        last = res.t[-3:]
+        first_step = float(abs(last[1] - last[0]))
         t_cur = res.t[-1]
         y_cur = res.y[:, -1]
         if reproject is not None:

@@ -84,6 +84,16 @@ def _params_to_state(cfg0: RollingConfiguration, p: Array, a: float) -> RollingG
     return RollingGeodesicState(cfg=cfg0, u=u, v=np.array([v1, v2]), lam=ell * E2)
 
 
+def _shoot(cfg0: RollingConfiguration, p: Array, a: float, T: float,
+           tol: float) -> GeodesicRun:
+    """The geodesic with initial data ``p`` from ``cfg0``, integrated for ``T``.
+
+    A shot reads only its end state, a stepper node, so it runs without the
+    step cap that keeps dense output fit for differentiation.
+    """
+    return integrate_geodesic(_params_to_state(cfg0, p, a), T, tol, max_step=np.inf)
+
+
 def endpoint_map(
     cfg0: RollingConfiguration,
     heading: float,
@@ -94,18 +104,14 @@ def endpoint_map(
     tol: float = DEFAULT_TOL,
 ) -> RollingConfiguration:
     """Endpoint configuration of the geodesic with the given initial data."""
-    p = np.array([heading, v0[0], v0[1], ell], dtype=float)
-    run = integrate_geodesic(_params_to_state(cfg0, p, a), T, tol)
+    run = _shoot(cfg0, np.array([heading, v0[0], v0[1], ell], dtype=float), a, T, tol)
     if run.truncated:
         raise RuntimeError("geodesic left the chart domain before the horizon")
     return run.state(run.t1).cfg
 
 
 def _residual_vector(prob: ShootingProblem, p: Array) -> tuple[Array, Optional[GeodesicRun]]:
-    # A shot reads only its end state, a stepper node, so it runs without
-    # the step cap that keeps dense output fit for differentiation.
-    run = integrate_geodesic(_params_to_state(prob.cfg0, p, prob.a),
-                             prob.T, prob.integrator_tol, max_step=np.inf)
+    run = _shoot(prob.cfg0, p, prob.a, prob.T, prob.integrator_tol)
     if run.truncated:
         return None, run
     end = run.state(run.t1).cfg

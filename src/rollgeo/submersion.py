@@ -130,8 +130,8 @@ def kinetic_hamiltonian(chart: ChartMetric) -> BaseHamiltonian:
         return 0.5 * float(a @ np.linalg.solve(chart.metric(x), a))
 
     def grad(x, a):
-        ginv_a = np.linalg.solve(chart.metric(x), a)
-        dg = chart.metric_deriv(x)
+        g, dg = chart.metric_jet(x)
+        ginv_a = np.linalg.solve(g, a)
         dx = -0.5 * np.einsum("i,kij,j->k", ginv_a, dg, ginv_a)
         return dx, ginv_a
 

@@ -258,6 +258,18 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+# Vector fields: the chart whose dimension gives their length, or the length.
+_VECTORS = {"x": "chart", "xhat": "chart_hat", "u": "chart", "v": "chart",
+            "direction": "chart", "true_params": 4}
+
+
+def _check_vector(key: str, value, size: int) -> None:
+    if not (isinstance(value, list) and all(_is_number(v) for v in value)):
+        raise ScenarioError(f"field {key!r} must be a list of numbers, got {value!r}")
+    if len(value) != size:
+        raise ScenarioError(f"field {key!r} must have {size} entries, got {len(value)}")
+
+
 def validate_scenario(scenario: dict) -> dict:
     """Schema and referential validation; returns the scenario unchanged."""
     if not isinstance(scenario, dict):
@@ -274,12 +286,20 @@ def validate_scenario(scenario: dict) -> dict:
         raise ScenarioError(f"field 'T' must be a nonzero number, got {scenario['T']!r}")
     if "tol" in scenario and not (_is_number(scenario["tol"]) and scenario["tol"] > 0):
         raise ScenarioError(f"field 'tol' must be a positive number, got {scenario['tol']!r}")
+    dims = {}
     for key in ("chart", "chart_hat"):
         if key in scenario:
             try:
-                chart_catalog.chart_by_name(scenario[key])
+                dims[key] = chart_catalog.chart_by_name(scenario[key]).dim
             except Exception as exc:
                 raise ScenarioError(f"field {key!r}: {exc}") from exc
+    if len(set(dims.values())) > 1:
+        raise ScenarioError(f"fields 'chart' and 'chart_hat' must have the same dimension, "
+                            f"got {dims['chart']} and {dims['chart_hat']}")
+    for key in _REQUIRED[kind]:
+        if key in _VECTORS:
+            size = _VECTORS[key]
+            _check_vector(key, scenario[key], dims[size] if isinstance(size, str) else size)
     if "testbed" in scenario:
         try:
             submersion.testbed_by_name(scenario["testbed"])

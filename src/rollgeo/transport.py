@@ -12,8 +12,11 @@ from .integrate import DEFAULT_TOL, DENSE_MAX_STEP, Trajectory, integrate
 
 
 def gamma_contract(gam: Array, v: Array) -> Array:
-    """Matrix (Gamma(v))^k_l = Gamma^k_il v^i acting on vector components."""
-    return np.einsum("kil,i->kl", gam, v)
+    """Matrix (Gamma(v))^k_l = Gamma^k_il v^i acting on vector components.
+
+    Leading axes are a stack: ``gam[..., k, i, l]`` pairs with ``v[..., i]``.
+    """
+    return (v[..., None, None, :] @ gam)[..., 0, :]
 
 
 def parallel_transport(

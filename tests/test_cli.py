@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from rollgeo.cli import main
+from rollgeo.suites import scenario_by_name
 
 
 @pytest.fixture()
@@ -79,6 +80,24 @@ class TestRunErrors:
         assert field in result.output
         assert "Traceback" not in result.output
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("name, field, value, message", [
+        ("sphere-on-plane-geodesic", "x", [1.5, 0.0, 0.0], "must have 2 entries"),
+        ("sphere-on-plane-geodesic", "x", ["a", 0.0], "must be a list of numbers"),
+        ("sphere-on-plane-geodesic", "chart_hat", "euclidean(3)", "same dimension"),
+        ("sphere-great-circle-develop", "direction", 1.0, "must be a list of numbers"),
+        ("sphere-on-plane-bvp", "true_params", [1.1, 0.15, 0.25], "must have 4 entries"),
+    ])
+    def test_malformed_vector_is_validation_error(self, runner, tmp_path, name, field,
+                                                  value, message):
+        scenario = scenario_by_name(name)
+        scenario[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(scenario))
+        result = _run(runner, "run", str(path), "--output-dir", str(tmp_path / "out"))
+        assert result.exit_code == 3
+        assert f"'{field}'" in result.output and message in result.output
+        assert "Traceback" not in result.output
 
     def test_truncation_is_numerical_error_with_artifacts(self, runner, tmp_path):
         scenario = tmp_path / "poleward.json"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -12,6 +14,7 @@ from rollgeo.geodesics import (
     closed_form_b,
     curvature_forms_along,
     geodesic_layout,
+    geodesic_rhs,
     integrate_geodesic,
     pair,
     pendulum_constants,
@@ -24,6 +27,8 @@ from rollgeo.geodesics import (
     vec_to_skew,
     vtilde_symmetry_check,
 )
+from rollgeo.geometry import (christoffel, curvature_form_from_lowered,
+                              orthonormal_frame_at, riemann)
 from rollgeo.rolling import aligned_configuration, develop_layout
 from rollgeo.submersion import canonical_layout, force_layout
 
@@ -97,6 +102,94 @@ class TestCurvatureForms:
     def test_flat_zero(self):
         oms = curvature_forms_along(PLANE, np.zeros(2), np.eye(2), np.array([1.0, 0.0]))
         assert max(np.abs(o).max() for o in oms) == 0.0
+
+
+def _bumpy_chart():
+    """A surface metric with neither dg nor kappa: both come from differences."""
+    return charts.ChartMetric(
+        dim=2, g=lambda x: np.array([[1.0 + x[1] ** 2, 0.2 * x[0]],
+                                     [0.2 * x[0], 1.0 + 0.5 * x[0] ** 2]]),
+        label="bumpy")
+
+
+def _conformal_chart(c):
+    """The non-flat 3D metric (1 + c |x|^2) I, with its analytic dg."""
+    eye = np.eye(3)
+    return charts.ChartMetric(
+        dim=3, g=lambda x: (1.0 + c * (x @ x)) * eye,
+        dg=lambda x: 2.0 * c * x[:, None, None] * eye, label=f"conformal({c:g})")
+
+
+_SURFACES = ["euclidean(2)", "sphere(1)", "hyperbolic-disk(1)", "paraboloid(1)",
+             "revolution(bump)", "revolution(cosh)"]
+
+
+def _random_frame(chart, x, rng):
+    """A positively oriented orthonormal frame at ``x``, turned at random."""
+    f = orthonormal_frame_at(chart, x).f
+    if chart.dim == 2:
+        a = rng.uniform(0, 2 * np.pi)
+        return f @ np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    return f @ (q * np.sign(np.linalg.det(q)))
+
+
+def _reference_rhs(chart, chart_hat, z):
+    """The locked equations of the module docstring, from the curvature tensor."""
+    n = chart.dim
+    layout = geodesic_layout(n)
+    d = layout.split(z)
+    u, v, lam = d["u"], d["v"], d["lam"]
+    out = {}
+    oms = []
+    for side, c in (("", chart), ("hat", chart_hat)):
+        x, f = d["x" + side], d["f" + side]
+        xdot = f @ u
+        _, low = riemann(c, x)
+        out["x" + side] = xdot
+        out["f" + side] = -np.einsum("kil,i,la->ka", christoffel(c, x), xdot, f)
+        oms.append([curvature_form_from_lowered(low, f, xdot, f[:, j]) for j in range(n)])
+    om, omhat = oms
+    out["u"] = np.array([pair(lam, om[j] - omhat[j]) for j in range(n)])
+    out["v"] = np.array([pair(lam, omhat[j]) for j in range(n)])
+    out["lam"] = np.outer(u, v) - np.outer(v, u)
+    return layout.pack(**out)
+
+
+_TEST_CHARTS = {c.label: c for c in (_bumpy_chart(), _conformal_chart(0.3),
+                                     _conformal_chart(-0.1))}
+
+
+class TestRightHandSide:
+    """``geodesic_rhs`` against the equations assembled from the tensor route."""
+
+    CASES = list(itertools.product(_SURFACES, repeat=2)) + [
+        ("bumpy", "sphere(1)"), ("sphere(1)", "bumpy"),
+        ("conformal(0.3)", "conformal(-0.1)"),
+    ]
+
+    @pytest.mark.parametrize("names", CASES, ids=["-on-".join(c) for c in CASES])
+    def test_matches_tensor_route(self, names):
+        chart, chart_hat = (_TEST_CHARTS[name] if name in _TEST_CHARTS
+                            else charts.chart_by_name(name) for name in names)
+        n = chart.dim
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            parts = {}
+            for side, c in (("", chart), ("hat", chart_hat)):
+                x = rng.uniform(-0.4, 0.4, n)
+                if c.label.startswith("sphere"):
+                    x[0] += np.pi / 2
+                assert c.margin(x) > 0
+                parts["x" + side] = x
+                parts["f" + side] = _random_frame(c, x, rng)
+            lam = rng.normal(size=(n, n))
+            z = geodesic_layout(n).pack(u=rng.normal(size=n), v=rng.normal(size=n),
+                                        lam=lam - lam.T, **parts)
+            got = geodesic_rhs(chart, chart_hat, 0.0, z)
+            want = _reference_rhs(chart, chart_hat, z)
+            assert np.abs(got - want).max() < 1e-7 * (1.0 + np.abs(want).max())
 
 
 class TestFullFlow:

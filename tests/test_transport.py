@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rollgeo import charts
+from rollgeo import integrate as integrate_module
 from rollgeo.errors import SingularMetricError
 from rollgeo.geometry import orthonormal_frame_at
 from rollgeo.integrate import DERIV_STEP, integrate
@@ -119,6 +120,33 @@ class TestTrajectoryDerivative:
         state = [float(v) for v in m.group(2).split(",")]
         assert len(state) == 2 and abs(state[0] ** 2 + state[1] ** 2 - 1.0) < 1e-3
         assert isinstance(info.value.__cause__, error)
+
+    def test_later_chunks_start_with_the_carried_step(self):
+        # capped at 0.1, the oscillator's steps are the cap: a chunk that
+        # started afresh would open with a shorter step of its own choosing,
+        # and steps of exactly 0.1 would add up to just short of a chunk's
+        # end and leave a step of about 1e-16 there
+        traj = integrate(lambda t, y: np.array([y[1], -y[0]]), np.array([1.0, 0.0]),
+                         3.0, tol=1e-9, max_step=0.1)
+        steps = np.diff(traj.t[traj.t >= 0.5])
+        assert len(steps) == 25
+        assert np.allclose(steps, 0.1, rtol=1e-8, atol=0)
+
+    def test_grinding_chunk_fails_at_the_rhs_cap(self, monkeypatch):
+        # y' = 1 / (0.5 - t) has no solution past t = 0.5: the stepper
+        # shrinks its steps towards it until the chunk's allowance runs out
+        monkeypatch.setattr(integrate_module, "MAX_CHUNK_RHS", 1000)
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return np.array([1.0 / (0.5 - t)])
+
+        with pytest.raises(RuntimeError, match="more than 1000 right-hand sides") as info:
+            integrate(rhs, np.zeros(1), 1.0)
+        assert len(calls) == 1000
+        m = re.search(r"at t = (\S+) with state", str(info.value))
+        assert abs(float(m.group(1)) - 0.5) < 1e-3
 
     def test_chunk_boundaries_take_the_earlier_chunk(self):
         # y' = 1 in chunks of 0.5, each boundary state shifted by 1e-3: at a
