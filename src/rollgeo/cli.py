@@ -21,12 +21,17 @@ import click
 
 from . import charts as chart_catalog
 from . import submersion, suites
+from .errors import RollgeoError
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
+
+# Errors of a run past validation: the integrator's failures and the
+# library's own (a singular metric, a degenerate frame, a point off its chart).
+NUMERICAL_FAILURES = (RuntimeError, FloatingPointError, RollgeoError)
 
 
 def _write_atomic(path: pathlib.Path, text: str) -> None:
@@ -126,7 +131,7 @@ def run_command(scenario: str, tol, horizon, output_dir, seed, fmt, samples):
     except suites.ScenarioError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
-    except (RuntimeError, FloatingPointError) as exc:
+    except NUMERICAL_FAILURES as exc:
         click.echo(f"error: numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
 
@@ -163,6 +168,9 @@ def verify_command(suite: str, tol, output_dir):
     except suites.ScenarioError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
+    except NUMERICAL_FAILURES as exc:
+        click.echo(f"error: numerical failure: {exc}", err=True)
+        sys.exit(EXIT_NUMERICAL)
     click.echo(_json_text(report), nl=False)
     if output_dir is not None:
         out = pathlib.Path(output_dir)

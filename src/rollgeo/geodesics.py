@@ -24,19 +24,29 @@ which is what ``reduce_2d`` integrates directly.
 For surfaces the charge lives in so(2): Lam = L E2 with one scalar L, and
 each curvature form is a multiple of E2, Om(f)(X, f_j) = c_j E2 with
 c_j = kappa rho (X_0 f_1j - X_1 f_0j), where rho = sqrt(det g) is the area
-density.  Since <L E2, c E2> = L c, ``geodesic_rhs`` evaluates the surface
-system in closed form,
+density.  Along X = f u this is c = k (-u_1, u_0) with k = kappa rho det f
+(k = kappa on an exactly orthonormal frame).  Since <L E2, c E2> = L c,
+``geodesic_rhs`` evaluates the surface system in closed form,
 
-    udot_j = L (c_j - chat_j),   vdot_j = L chat_j,   Ldot = u_0 v_1 - u_1 v_0,
+    udot = L (k - khat) (-u_1, u_0),   vdot = L khat (-u_1, u_0),
+    Ldot = u_0 v_1 - u_1 v_0,
 
-from one metric evaluation, one metric derivative and one curvature per
-surface.  Other dimensions go through the curvature tensor.
+and the frames by fdot = -g^-1 N f with N = (D + B^T - B) / 2, where
+D = sum_i X^i d_i g and B[l, m] = sum_i X^i d_l g_im are the metric
+derivative contracted with X = xdot (N is the Christoffel matrix
+Gamma(X) with its upper index lowered), and g^-1 = adj g / det g.  That is
+one metric evaluation, one metric derivative and one curvature per surface.
+The surface system takes a stack of states, one per row, and evaluates
+everything but the charts' own functions once for the whole stack; a
+single state is a stack of one.  Other dimensions go through the
+curvature tensor, one state at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +54,6 @@ from .charts import Array, ChartMetric, central_diff
 from .errors import DimensionError
 from .geometry import (
     christoffel,
-    christoffel_from,
     curvature_form_from_lowered,
     gauss_curvature,
     riemann,
@@ -84,16 +93,23 @@ def rn_layout(n: int) -> StateLayout:
 
 
 def _contact_hooks(layout: StateLayout, chart: ChartMetric, chart_hat: ChartMetric):
-    """Chart-exit margin and frame reprojection on the x, xhat, f, fhat slots."""
+    """Chart-exit margin and frame reprojection on the x, xhat, f, fhat slots.
+
+    Both take a state or a flat stack of states: the margin is the least
+    over the rows, and each row is reprojected.
+    """
+    x, xhat = layout.slices["x"], layout.slices["xhat"]
+
     def margin(z):
-        d = layout.split(z)
-        return min(chart.margin(d["x"]), chart_hat.margin(d["xhat"]))
+        zs = z.reshape(-1, layout.size)
+        return min(min(map(chart.margin, zs[:, x])), min(map(chart_hat.margin, zs[:, xhat])))
 
     def reproject(z):
         z = z.copy()
-        d = layout.split(z)
-        d["f"][:] = so_projection(d["f"], chart.validate(d["x"]))
-        d["fhat"][:] = so_projection(d["fhat"], chart_hat.validate(d["xhat"]))
+        for row in z.reshape(-1, layout.size):
+            d = layout.split(row)
+            d["f"][:] = so_projection(d["f"], chart.validate(d["x"]))
+            d["fhat"][:] = so_projection(d["fhat"], chart_hat.validate(d["xhat"]))
         return z
 
     return margin, reproject
@@ -180,6 +196,10 @@ class GeodesicRun:
     def split(self, z: Array) -> dict:
         return geodesic_layout(self.dim).split(z)
 
+    def ends(self) -> dict:
+        """Slots at the last node, one row per state of a stacked run."""
+        return self.split(self.traj.y[-1].reshape(-1, geodesic_layout(self.dim).size))
+
     def state(self, t: float) -> RollingGeodesicState:
         d = self.split(self.traj.sample([t])[0])
         cfg = RollingConfiguration(chart=self.chart, chart_hat=self.chart_hat,
@@ -195,11 +215,18 @@ class GeodesicRun:
 
 
 def geodesic_rhs(chart: ChartMetric, chart_hat: ChartMetric, t: float, z: Array) -> Array:
-    """Right-hand side of the normal-geodesic system at state ``z``."""
+    """Right-hand side of the normal-geodesic system at state ``z``.
+
+    ``z`` is one state or a stack of states, one per row; a flat vector of
+    several states is read as their stack.  The result has the shape of ``z``.
+    """
     n = chart.dim
-    layout = geodesic_layout(n)
     if n == 2:
-        return _surface_rhs(layout.slices, chart, chart_hat, z)
+        return _surface_rhs(chart, chart_hat, z)
+    layout = geodesic_layout(n)
+    if z.size > layout.size:
+        return np.array([geodesic_rhs(chart, chart_hat, t, row)
+                         for row in z.reshape(-1, layout.size)]).reshape(z.shape)
     d = layout.split(z)
     x, xhat, f, fhat = d["x"], d["xhat"], d["f"], d["fhat"]
     u, v, lam = d["u"], d["v"], d["lam"]
@@ -217,58 +244,84 @@ def geodesic_rhs(chart: ChartMetric, chart_hat: ChartMetric, t: float, z: Array)
                        lam=np.outer(u, v) - np.outer(v, u))
 
 
-def _surface_rhs(slots: dict, chart: ChartMetric, chart_hat: ChartMetric, z: Array) -> Array:
+# Slots of the surface state; x, xhat are adjacent, and so are f, fhat.
+_SIZE, _SLOTS = geodesic_layout(2).size, geodesic_layout(2).slices
+_POINTS = slice(_SLOTS["x"].start, _SLOTS["xhat"].stop)
+_FRAMES = slice(_SLOTS["f"].start, _SLOTS["fhat"].stop)
+_UV = slice(_SLOTS["u"].start, _SLOTS["v"].stop)
+_L = _SLOTS["lam"].start
+
+# adj g = _ADJ_SIGNS * g reversed along both axes; (k, khat) @ _CHARGE_SPLIT
+# is (k - khat, khat), the coefficients of udot and vdot.
+_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_CHARGE_SPLIT = np.array([[1.0, 0.0], [-1.0, 1.0]])
+
+
+def _surface_rhs(chart: ChartMetric, chart_hat: ChartMetric, z: Array) -> Array:
     """``geodesic_rhs`` for surfaces, in the closed form of the module docstring.
 
-    Both surfaces' terms are computed as stacks, row 0 for ``chart`` and
-    row 1 for ``chart_hat``; the x, xhat slots and the f, fhat slots are
-    adjacent in the state.
+    The m states of the stack give 2m points, ``chart`` at the even rows
+    and ``chart_hat`` at the odd ones; each chart is called once per point,
+    and the rest is computed once for all of them.
     """
-    points = slice(slots["x"].start, slots["xhat"].stop)
-    frames = slice(slots["f"].start, slots["fhat"].stop)
-    u, v, L = z[slots["u"]], z[slots["v"]], z[slots["lam"].start]
-    xs, fs = z[points].reshape(2, 2), z[frames].reshape(2, 2, 2)
-    g, dg, kappa = np.empty((2, 2, 2)), np.empty((2, 2, 2, 2)), np.empty(2)
-    for i, surface in enumerate((chart, chart_hat)):
-        g[i], dg[i] = surface.metric_jet(xs[i])
-        kappa[i] = (surface.kappa(xs[i]) if surface.kappa is not None
-                    else gauss_curvature(surface, xs[i]))
-    rho = np.sqrt(g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0])
-    xdot = fs @ u
-    c = (kappa * rho)[:, None] * (xdot[:, :1] * fs[:, 1] - xdot[:, 1:] * fs[:, 0])
-    out = np.empty(len(z))
-    out[points] = xdot.ravel()
-    out[frames] = (-gamma_contract(christoffel_from(g, dg), xdot) @ fs).ravel()
-    out[slots["u"]] = L * (c[0] - c[1])
-    out[slots["v"]] = L * c[1]
-    out[slots["lam"]] = u[0] * v[1] - u[1] * v[0]
-    return out
+    zs = z.reshape(-1, _SIZE)
+    m = len(zs)
+    xs, fs = zs[:, _POINTS].reshape(2 * m, 2), zs[:, _FRAMES].reshape(2 * m, 2, 2)
+    u, v, L = zs[:, _SLOTS["u"]], zs[:, _SLOTS["v"]], zs[:, _L:_L + 1]
+    g, dg, kappa = np.empty((2 * m, 2, 2)), np.empty((2 * m, 2, 2, 2)), np.empty(2 * m)
+    for i, (surface, x) in enumerate(zip((chart, chart_hat) * m, xs)):
+        g[i], dg[i] = surface.metric_jet(x)
+        kappa[i] = (surface.kappa(x) if surface.kappa is not None
+                    else gauss_curvature(surface, x))
+    adj = g[:, ::-1, ::-1] * _ADJ_SIGNS
+    det = (g[:, 0] * adj[:, 0]).sum(-1)
+    xdot = (fs.reshape(m, 2, 2, 2) @ u[:, None, :, None]).reshape(2 * m, 2)
+    B = (xdot[:, None, None, :] @ dg)[:, :, 0]
+    D = (xdot[:, None, :] @ dg.reshape(2 * m, 2, 4)).reshape(2 * m, 2, 2)
+    fdot = (adj @ ((B - B.swapaxes(1, 2) - D) @ fs)) / (2 * det)[:, None, None]
+    k = kappa * np.sqrt(det) * (fs[:, 0, 0] * fs[:, 1, 1] - fs[:, 0, 1] * fs[:, 1, 0])
+    ju = u @ E2  # (-u_1, u_0)
+    out = np.empty((m, _SIZE))
+    out[:, _POINTS] = xdot.reshape(m, 4)
+    out[:, _FRAMES] = fdot.reshape(m, 8)
+    out[:, _UV] = ((L * (k.reshape(m, 2) @ _CHARGE_SPLIT))[:, :, None]
+                   * ju[:, None, :]).reshape(m, 4)
+    out[:, _L] = (ju * v).sum(1)
+    return out.reshape(z.shape)
 
 
 def integrate_geodesic(
-    s0: RollingGeodesicState,
+    s0: RollingGeodesicState | Sequence[RollingGeodesicState],
     T: float,
     tol: float = DEFAULT_TOL,
     max_step: float = DENSE_MAX_STEP,
+    dense_output: bool = True,
 ) -> GeodesicRun:
     """Integrate the normal-geodesic system from ``s0`` for time ``T``.
 
-    The default step cap keeps the dense output fit for differentiation;
-    a caller that reads only the end state may pass ``np.inf``.
+    ``s0`` is one state or a sequence of states on the same charts; a
+    sequence is integrated as one stacked system whose rows share their
+    steps, and its run leaves the chart when any row does.  Each node of
+    ``traj.y`` is then the flat stack; :meth:`GeodesicRun.ends` splits the
+    last one.  The default step cap keeps the dense output fit for
+    differentiation; a caller that reads only the nodes may pass
+    ``np.inf`` and ``dense_output=False``.
     """
-    chart, chart_hat = s0.cfg.chart, s0.cfg.chart_hat
+    states = [s0] if isinstance(s0, RollingGeodesicState) else list(s0)
+    chart, chart_hat = states[0].cfg.chart, states[0].cfg.chart_hat
     layout = geodesic_layout(chart.dim)
-    chart.validate(s0.cfg.x)
-    chart_hat.validate(s0.cfg.xhat)
+    for s in states:
+        chart.validate(s.cfg.x)
+        chart_hat.validate(s.cfg.xhat)
 
     def rhs(t, z):
         return geodesic_rhs(chart, chart_hat, t, z)
 
     margin, reproject = _contact_hooks(layout, chart, chart_hat)
-    z0 = layout.pack(x=s0.cfg.x, xhat=s0.cfg.xhat, f=s0.cfg.f, fhat=s0.cfg.fhat,
-                     u=s0.u, v=s0.v, lam=s0.lam)
+    z0 = np.concatenate([layout.pack(x=s.cfg.x, xhat=s.cfg.xhat, f=s.cfg.f, fhat=s.cfg.fhat,
+                                     u=s.u, v=s.v, lam=s.lam) for s in states])
     traj = integrate(rhs, z0, T, tol, margin=margin, reproject=reproject,
-                     max_step=max_step)
+                     max_step=max_step, dense_output=dense_output)
     return GeodesicRun(chart=chart, chart_hat=chart_hat, traj=traj)
 
 
@@ -277,14 +330,12 @@ def flow_residual(run: GeodesicRun, ts) -> Array:
 
     Differentiates the carried u, v and charge slots by central
     differences of the interpolant and compares with the right-hand side
-    recomputed from the sampled state.
+    recomputed from the sampled states, evaluated once on their stack.
     """
     start = geodesic_layout(run.dim).slices["u"].start  # the u, v and lam slots
     ts, zs, dzs = run.traj.derivative(ts)
-    return np.array([
-        np.abs(dz[start:] - geodesic_rhs(run.chart, run.chart_hat, t, z)[start:]).max()
-        for t, z, dz in zip(ts, zs, dzs)
-    ])
+    rhs = geodesic_rhs(run.chart, run.chart_hat, ts, zs)
+    return np.abs(dzs[:, start:] - rhs[:, start:]).max(axis=1)
 
 
 def theorem_residual(run: GeodesicRun, samples: int = 100) -> float:

@@ -24,10 +24,14 @@ right-hand sides on choosing a first step nor starts short.  A chunk that
 makes more than :data:`MAX_CHUNK_RHS` right-hand sides fails: that is the
 stepper grinding towards a singularity, not a flow of the library.
 
-The chunks' step interpolants are joined into one
+Dense output is built only when asked for (``dense_output=True``, the
+default).  The chunks' step interpolants are then joined into one
 :class:`scipy.integrate.OdeSolution`, so a run is sampled at a whole
 vector of times in one call; at a chunk boundary the earlier chunk's
-interpolant (the state before reprojection) is used.
+interpolant (the state before reprojection) is used.  A caller that reads
+only the accepted nodes, such as a shooting Jacobian, passes
+``dense_output=False``: the nodes and steps are the same, and each step
+saves the 3 right-hand sides of its interpolant.
 
 Every flow's state vector is described by one :class:`StateLayout`, and
 the checks differentiate dense output through :meth:`Trajectory.derivative`.
@@ -162,11 +166,11 @@ class StateLayout:
 
 @dataclass
 class Trajectory:
-    """Time-stamped states with dense output."""
+    """Time-stamped states, with dense output unless it was skipped."""
 
     t: Array
     y: Array  # shape (len(t), dim), states at the accepted nodes
-    dense: OdeSolution  # one interpolant per accepted step, over the whole run
+    dense: Optional[OdeSolution]  # one interpolant per accepted step, or None
     truncated: bool = False
     meta: dict = field(default_factory=dict)
 
@@ -183,6 +187,9 @@ class Trajectory:
 
         Times up to 1e-12 outside the run are clipped onto its ends.
         """
+        if self.dense is None:
+            raise ValueError("run integrated without dense output: only its nodes "
+                             "t and y can be read")
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         lo, hi = sorted((self.t0, self.t1))
         if ts.min() < lo - 1e-12 or ts.max() > hi + 1e-12:
@@ -226,6 +233,7 @@ def integrate(
     chunk: float = 0.5,
     t0: float = 0.0,
     max_step: float = np.inf,
+    dense_output: bool = True,
 ) -> Trajectory:
     """Integrate ``y' = rhs(t, y)`` from ``t0`` to ``t0 + T``.
 
@@ -235,7 +243,8 @@ def integrate(
     below the integration tolerance; the largest is recorded in ``meta``
     as ``max_reprojection``, next to the cost of the run: ``rhs_evals``,
     the right-hand side evaluations, and ``steps``, the accepted steps,
-    each summed over the chunks.
+    each summed over the chunks.  With ``dense_output=False`` the run
+    keeps only its nodes, and :meth:`Trajectory.sample` raises.
 
     A failure of the stepper, a chunk that makes more than
     ``MAX_CHUNK_RHS`` right-hand sides, or a ``LinAlgError`` or library
@@ -291,14 +300,15 @@ def integrate(
             method="DOP853",
             rtol=tol,
             atol=tol,
-            dense_output=True,
+            dense_output=dense_output,
             events=events,
             max_step=step_cap,
             first_step=None if first_step is None else min(first_step, span),
         )
         if not res.success and res.status != 1:
             raise _failure(res.t[-1], res.y[:, -1], res.message)
-        interpolants += res.sol.interpolants
+        if dense_output:
+            interpolants += res.sol.interpolants
         rhs_evals += res.nfev
         steps += len(res.t) - 1
         ts.append(res.t if not ts else res.t[1:])
@@ -321,7 +331,7 @@ def integrate(
     return Trajectory(
         t=t_all,
         y=np.concatenate(ys, axis=0),
-        dense=OdeSolution(t_all, interpolants),
+        dense=OdeSolution(t_all, interpolants) if dense_output else None,
         truncated=truncated,
         meta={"max_reprojection": max_correction, "rhs_evals": rhs_evals, "steps": steps},
     )

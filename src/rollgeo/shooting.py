@@ -6,6 +6,13 @@ velocity, the auxiliary field coefficients, and the scalar charge) for a
 normal geodesic whose endpoint matches the goal.  The speed and horizon
 are fixed, so every shot has the same length and the search has no
 time-reparametrization null direction.
+
+Each Gauss-Newton iteration differentiates the endpoint map by internal
+numerical differentiation (Bock 1981): the shot and its forward
+neighbours p + h e_k are integrated as one stacked system, so all rows
+take the same steps and their differences carry no step-size noise.
+That is one integration per Jacobian, without dense output, in place of
+one per column.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .rolling import RollingConfiguration, curvature_gap
 
 GAP_FLOOR = 0.1
 STEP_CAP = 1.0
+FD_STEP = 1e-6  # forward-difference step of the Jacobian
 
 
 @dataclass(frozen=True)
@@ -84,14 +92,16 @@ def _params_to_state(cfg0: RollingConfiguration, p: Array, a: float) -> RollingG
     return RollingGeodesicState(cfg=cfg0, u=u, v=np.array([v1, v2]), lam=ell * E2)
 
 
-def _shoot(cfg0: RollingConfiguration, p: Array, a: float, T: float,
-           tol: float) -> GeodesicRun:
-    """The geodesic with initial data ``p`` from ``cfg0``, integrated for ``T``.
+def _shoot(cfg0: RollingConfiguration, P: Array, a: float, T: float,
+           tol: float, dense_output: bool) -> GeodesicRun:
+    """The geodesics with initial data rows ``P`` from ``cfg0``, integrated for ``T``.
 
-    A shot reads only its end state, a stepper node, so it runs without the
-    step cap that keeps dense output fit for differentiation.
+    The rows are one stacked system (a single row is a stack of one).  A
+    shot reads only its end nodes, so it runs without the step cap that
+    keeps dense output fit for differentiation.
     """
-    return integrate_geodesic(_params_to_state(cfg0, p, a), T, tol, max_step=np.inf)
+    states = [_params_to_state(cfg0, p, a) for p in np.atleast_2d(P)]
+    return integrate_geodesic(states, T, tol, max_step=np.inf, dense_output=dense_output)
 
 
 def endpoint_map(
@@ -104,25 +114,49 @@ def endpoint_map(
     tol: float = DEFAULT_TOL,
 ) -> RollingConfiguration:
     """Endpoint configuration of the geodesic with the given initial data."""
-    run = _shoot(cfg0, np.array([heading, v0[0], v0[1], ell], dtype=float), a, T, tol)
+    run = _shoot(cfg0, np.array([heading, v0[0], v0[1], ell], dtype=float), a, T, tol,
+                 dense_output=False)
     if run.truncated:
         raise RuntimeError("geodesic left the chart domain before the horizon")
-    return run.state(run.t1).cfg
+    end = {key: rows[0] for key, rows in run.ends().items()}
+    return RollingConfiguration(chart=cfg0.chart, chart_hat=cfg0.chart_hat, x=end["x"],
+                                xhat=end["xhat"], f=end["f"], fhat=end["fhat"])
 
 
-def _residual_vector(prob: ShootingProblem, p: Array) -> tuple[Array, Optional[GeodesicRun]]:
-    run = _shoot(prob.cfg0, p, prob.a, prob.T, prob.integrator_tol)
+def _shots(prob: ShootingProblem, P: Array,
+           dense_output: bool = False) -> tuple[Optional[Array], GeodesicRun]:
+    """Weighted endpoint residual of each row of ``P``, one row each, and the run.
+
+    The residual is None when the stacked run left the chart.
+    """
+    run = _shoot(prob.cfg0, P, prob.a, prob.T, prob.integrator_tol, dense_output)
     if run.truncated:
         return None, run
-    end = run.state(run.t1).cfg
+    end = run.ends()
     n = prob.cfg0.chart.dim
     wq = prob.weights[2] if prob.weights[2] is not None else 1.0 / n
-    r = np.concatenate([
-        prob.weights[0] * (end.x - prob.cfg1.x),
-        prob.weights[1] * (end.xhat - prob.cfg1.xhat),
-        wq * (end.q - prob.cfg1.q).ravel(),
-    ])
-    return r, run
+    q = end["fhat"] @ np.linalg.inv(end["f"])
+    R = np.concatenate([
+        prob.weights[0] * (end["x"] - prob.cfg1.x),
+        prob.weights[1] * (end["xhat"] - prob.cfg1.xhat),
+        wq * (q - prob.cfg1.q).reshape(len(q), -1),
+    ], axis=1)
+    return R, run
+
+
+def _residual_vector(prob: ShootingProblem, p: Array) -> tuple[Optional[Array], GeodesicRun]:
+    """The residual of the one shot ``p``, with dense output for its table."""
+    R, run = _shots(prob, p, dense_output=True)
+    return (None if R is None else R[0]), run
+
+
+def _jacobian(prob: ShootingProblem, p: Array) -> Optional[Array]:
+    """Forward-difference Jacobian of the residual at ``p``, from one stacked run.
+
+    The rows are p and p + FD_STEP e_k; None when the run left the chart.
+    """
+    R, _ = _shots(prob, p + FD_STEP * np.eye(len(p) + 1, len(p), -1))
+    return None if R is None else (R[1:] - R[0]).T / FD_STEP
 
 
 def solve(prob: ShootingProblem, p0: Optional[Array] = None) -> ShootingResult:
@@ -164,6 +198,14 @@ def solve(prob: ShootingProblem, p0: Optional[Array] = None) -> ShootingResult:
 
 
 def _solve_single(prob: ShootingProblem, p: Array) -> ShootingResult:
+    """Damped Gauss-Newton from ``p``.
+
+    Each iteration takes its Jacobian from one stacked integration of p
+    and its neighbours (internal numerical differentiation, Bock 1981) and
+    solves against the residual ``r`` of the accepted shot, so the history
+    records accepted residuals only.  A Jacobian run that leaves the chart
+    ends the solve at the current point.
+    """
     r, run = _residual_vector(prob, p)
     if r is None:
         return ShootingResult(status="chart-exit", params=p, residual=np.inf,
@@ -171,7 +213,6 @@ def _solve_single(prob: ShootingProblem, p: Array) -> ShootingResult:
                               energy=0.5 * prob.a ** 2 * prob.T, seed=prob.seed)
     norm = float(np.linalg.norm(r))
     history = [norm]
-    h = 1e-6
     for it in range(1, prob.max_iterations + 1):
         if norm <= prob.tol:
             return ShootingResult(status="converged", params=p, residual=norm,
@@ -179,17 +220,8 @@ def _solve_single(prob: ShootingProblem, p: Array) -> ShootingResult:
                                   length=prob.a * prob.T,
                                   energy=0.5 * prob.a ** 2 * prob.T,
                                   seed=prob.seed, history=history)
-        J = np.empty((len(r), len(p)))
-        failed = False
-        for k in range(len(p)):
-            e = np.zeros(len(p))
-            e[k] = h
-            rp, _ = _residual_vector(prob, p + e)
-            if rp is None:
-                failed = True
-                break
-            J[:, k] = (rp - r) / h
-        if failed:
+        J = _jacobian(prob, p)
+        if J is None:
             break
         # truncated least squares: endpoint degeneracies (such as the
         # field component along the contact velocity on a straight roll)

@@ -33,6 +33,7 @@ from .geodesics import (
     rn_rolling_flow,
     vtilde_symmetry_check,
 )
+from .errors import RollgeoError
 from .geometry import gauss_curvature
 from .rolling import (
     RollingConfiguration,
@@ -270,6 +271,17 @@ def _check_vector(key: str, value, size: int) -> None:
         raise ScenarioError(f"field {key!r} must have {size} entries, got {len(value)}")
 
 
+def _check_start_point(key: str, chart: chart_catalog.ChartMetric, x: np.ndarray) -> None:
+    """A start point must lie inside its chart, where the metric is positive definite."""
+    if chart.margin(x) <= 0:
+        raise ScenarioError(f"field {key!r}: point {x} outside the domain of chart "
+                            f"'{chart.label}'")
+    try:
+        chart.validate(x)
+    except RollgeoError as exc:
+        raise ScenarioError(f"field {key!r}: {exc}") from exc
+
+
 def validate_scenario(scenario: dict) -> dict:
     """Schema and referential validation; returns the scenario unchanged."""
     if not isinstance(scenario, dict):
@@ -300,6 +312,10 @@ def validate_scenario(scenario: dict) -> dict:
         if key in _VECTORS:
             size = _VECTORS[key]
             _check_vector(key, scenario[key], dims[size] if isinstance(size, str) else size)
+    for key, chart_key in (("x", "chart"), ("xhat", "chart_hat")):
+        if key in _REQUIRED[kind]:
+            _check_start_point(key, chart_catalog.chart_by_name(scenario[chart_key]),
+                               np.asarray(scenario[key], float))
     if "testbed" in scenario:
         try:
             submersion.testbed_by_name(scenario["testbed"])

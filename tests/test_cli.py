@@ -1,9 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from rollgeo import charts as chart_catalog
+from rollgeo import suites
+from rollgeo.charts import ChartMetric
 from rollgeo.cli import main
+from rollgeo.errors import FrameError
 from rollgeo.suites import scenario_by_name
 
 
@@ -97,6 +102,55 @@ class TestRunErrors:
         result = _run(runner, "run", str(path), "--output-dir", str(tmp_path / "out"))
         assert result.exit_code == 3
         assert f"'{field}'" in result.output and message in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("name, field, value", [
+        ("sphere-on-plane-geodesic", "x", [0.0, 0.0]),  # the pole: g singular
+        ("sphere-on-plane-geodesic", "x", [0.01, 0.0]),  # inside the pole band
+        ("sphere-on-sphere-geodesic", "xhat", [3.14, 0.0]),
+        ("sphere-on-plane-pendulum", "x", [0.0, 0.0]),
+        ("sphere-on-plane-bvp", "x", [0.0, 0.0]),
+        ("hyperbolic-on-plane-geodesic", "x", [0.9, 0.0]),
+    ])
+    def test_start_point_off_its_chart_is_validation_error(self, runner, tmp_path, name,
+                                                           field, value):
+        scenario = scenario_by_name(name)
+        scenario[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "out"
+        result = _run(runner, "run", str(path), "--output-dir", str(out))
+        assert result.exit_code == 3
+        assert f"field '{field}'" in result.output and "outside the domain" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+    def test_singular_metric_at_start_is_validation_error(self, runner, tmp_path,
+                                                          monkeypatch):
+        # a chart whose metric degenerates inside its domain, on the line x0 = 0
+        monkeypatch.setitem(chart_catalog._CATALOG, "degenerate", lambda: ChartMetric(
+            dim=2, g=lambda x: np.diag([1.0, x[0] ** 2]), label="degenerate"))
+        scenario = scenario_by_name("sphere-on-plane-geodesic")
+        scenario["chart_hat"] = "degenerate"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(scenario))
+        result = _run(runner, "run", str(path), "--output-dir", str(tmp_path / "out"))
+        assert result.exit_code == 3
+        assert "field 'xhat'" in result.output and "not positive definite" in result.output
+
+    @pytest.mark.parametrize("command, target", [
+        (["run", "sphere-on-plane-geodesic"], "execute_scenario"),
+        (["verify", "first-integrals"], "run_suite"),
+    ])
+    def test_library_error_in_a_run_is_numerical_failure(self, runner, tmp_path,
+                                                         monkeypatch, command, target):
+        def fail(*args, **kwargs):
+            raise FrameError("frame too degenerate to reproject")
+
+        monkeypatch.setattr(suites, target, fail)
+        result = _run(runner, *command, "--output-dir", str(tmp_path))
+        assert result.exit_code == 4
+        assert "numerical failure: frame too degenerate" in result.output
         assert "Traceback" not in result.output
 
     def test_truncation_is_numerical_error_with_artifacts(self, runner, tmp_path):

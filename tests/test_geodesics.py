@@ -13,6 +13,7 @@ from rollgeo.geodesics import (
     charge_monitor,
     closed_form_b,
     curvature_forms_along,
+    flow_residual,
     geodesic_layout,
     geodesic_rhs,
     integrate_geodesic,
@@ -169,27 +170,51 @@ class TestRightHandSide:
         ("conformal(0.3)", "conformal(-0.1)"),
     ]
 
+    STACK_CASES = list(itertools.product(_SURFACES, repeat=2)) + [
+        ("conformal(0.3)", "conformal(-0.1)"),
+    ]
+
+    @staticmethod
+    def _charts(names):
+        return tuple(_TEST_CHARTS[name] if name in _TEST_CHARTS
+                     else charts.chart_by_name(name) for name in names)
+
+    @staticmethod
+    def _random_state(chart, chart_hat, rng):
+        n = chart.dim
+        parts = {}
+        for side, c in (("", chart), ("hat", chart_hat)):
+            x = rng.uniform(-0.4, 0.4, n)
+            if c.label.startswith("sphere"):
+                x[0] += np.pi / 2
+            assert c.margin(x) > 0
+            parts["x" + side] = x
+            parts["f" + side] = _random_frame(c, x, rng)
+        lam = rng.normal(size=(n, n))
+        return geodesic_layout(n).pack(u=rng.normal(size=n), v=rng.normal(size=n),
+                                       lam=lam - lam.T, **parts)
+
     @pytest.mark.parametrize("names", CASES, ids=["-on-".join(c) for c in CASES])
     def test_matches_tensor_route(self, names):
-        chart, chart_hat = (_TEST_CHARTS[name] if name in _TEST_CHARTS
-                            else charts.chart_by_name(name) for name in names)
-        n = chart.dim
+        chart, chart_hat = self._charts(names)
         rng = np.random.default_rng(7)
         for _ in range(3):
-            parts = {}
-            for side, c in (("", chart), ("hat", chart_hat)):
-                x = rng.uniform(-0.4, 0.4, n)
-                if c.label.startswith("sphere"):
-                    x[0] += np.pi / 2
-                assert c.margin(x) > 0
-                parts["x" + side] = x
-                parts["f" + side] = _random_frame(c, x, rng)
-            lam = rng.normal(size=(n, n))
-            z = geodesic_layout(n).pack(u=rng.normal(size=n), v=rng.normal(size=n),
-                                        lam=lam - lam.T, **parts)
+            z = self._random_state(chart, chart_hat, rng)
             got = geodesic_rhs(chart, chart_hat, 0.0, z)
             want = _reference_rhs(chart, chart_hat, z)
             assert np.abs(got - want).max() < 1e-7 * (1.0 + np.abs(want).max())
+
+    @pytest.mark.parametrize("names", STACK_CASES, ids=["-on-".join(c) for c in STACK_CASES])
+    def test_stack_rows_are_the_single_states(self, names):
+        # row k of a stack, given as rows or flat, is the call on state k alone
+        chart, chart_hat = self._charts(names)
+        rng = np.random.default_rng(11)
+        zs = np.array([self._random_state(chart, chart_hat, rng) for _ in range(4)])
+        stacked = geodesic_rhs(chart, chart_hat, 0.0, zs)
+        assert stacked.shape == zs.shape
+        assert np.array_equal(geodesic_rhs(chart, chart_hat, 0.0, zs.ravel()), stacked.ravel())
+        for z, row in zip(zs, stacked):
+            assert np.array_equal(geodesic_rhs(chart, chart_hat, 0.0, z), row)
 
 
 class TestFullFlow:
@@ -245,6 +270,44 @@ class TestFullFlow:
         assert np.abs(s_back.cfg.x - s0.cfg.x).max() < 1e-7
         assert np.abs(s_back.cfg.xhat - s0.cfg.xhat).max() < 1e-7
         assert np.abs(s_back.u + s0.u).max() < 1e-7
+
+    def test_flow_residual_is_the_row_by_row_residual(self):
+        cfg = aligned_configuration(charts.paraboloid(1.0), charts.hyperbolic_disk(1.0),
+                                    np.array([0.3, -0.1]), np.array([0.1, 0.2]))
+        run = integrate_geodesic(RollingGeodesicState(cfg=cfg, u=np.array([0.6, 0.8]),
+                                                      v=np.array([0.1, -0.2]), lam=0.3 * E2),
+                                 2.0)
+        start = geodesic_layout(2).slices["u"].start
+        ts, zs, dzs = run.traj.derivative(run.grid(50))
+        want = [np.abs(dz[start:] - geodesic_rhs(run.chart, run.chart_hat, t, z)[start:]).max()
+                for t, z, dz in zip(ts, zs, dzs)]
+        assert np.abs(flow_residual(run, run.grid(50)) - want).max() <= 1e-15
+
+    def test_stacked_run_rows_follow_their_own_flows(self):
+        # two states as one system share their steps: each row ends where
+        # its own run ends, to the integrator's tolerance
+        states = [_sphere_on_plane_state(theta=0.3).to_full(),
+                  _sphere_on_plane_state(theta=1.2, L=-0.2).to_full()]
+        stacked = integrate_geodesic(states, 2.0, dense_output=False)
+        ends = stacked.ends()
+        assert ends["x"].shape == (2, 2) and not stacked.truncated
+        for k, s0 in enumerate(states):
+            single = integrate_geodesic(s0, 2.0).traj.y[-1]
+            row = stacked.traj.y[-1].reshape(2, -1)[k]
+            assert np.abs(row - single).max() < 1e-8
+            assert np.array_equal(ends["u"][k], row[geodesic_layout(2).slices["u"]])
+        with pytest.raises(ValueError, match="without dense output"):
+            stacked.traj.sample([1.0])
+
+    def test_stacked_run_leaves_the_chart_with_any_row(self):
+        # the second state heads for the sphere's pole band
+        states = [_sphere_on_plane_state(theta=np.pi / 2, L=0.0, b1=0.0, b2=0.0,
+                                         x=(1.0, 0.0)).to_full(),
+                  _sphere_on_plane_state(theta=np.pi, L=0.0, b1=0.0, b2=0.0,
+                                         x=(1.0, 0.0)).to_full()]
+        assert not integrate_geodesic(states[0], 2.0).truncated
+        run = integrate_geodesic(states, 2.0, dense_output=False)
+        assert run.truncated and run.t1 < 1.0
 
     def test_vtilde_symmetry(self):
         run = integrate_geodesic(_sphere_on_plane_state().to_full(), 3.0)

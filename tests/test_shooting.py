@@ -1,15 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from rollgeo import charts
+from rollgeo import charts, geodesics, shooting
 from rollgeo.errors import DimensionError
 from rollgeo.rolling import aligned_configuration
 from rollgeo.shooting import (
+    FD_STEP,
     ShootingProblem,
+    _jacobian,
+    _residual_vector,
+    _shots,
     configuration_distance,
     endpoint_map,
     solve,
 )
+from rollgeo.suites import _aligned_start, scenario_by_name
 
 SPHERE = charts.sphere(1.0)
 PLANE = charts.euclidean(2)
@@ -138,3 +145,83 @@ class TestSolve:
         res = solve(prob, p0=true_p + rng.uniform(-1e-2, 1e-2, size=4))
         assert res.status == "converged"
         assert res.residual < 1e-8
+
+
+class TestStackedJacobian:
+    """Each iteration's Jacobian comes from one stacked integration of p and p + h e_k."""
+
+    @staticmethod
+    def _problem():
+        cfg0 = _cfg0()
+        target = endpoint_map(cfg0, 1.3, np.array([0.05, 0.0]), 0.1, T=1.5)
+        return ShootingProblem(cfg0=cfg0, cfg1=target, T=1.5)
+
+    @staticmethod
+    def _per_shot_jacobian(prob, p):
+        """One integration per column, as a separate shot each."""
+        r, _ = _residual_vector(prob, p)
+        return np.array([(_residual_vector(prob, p + FD_STEP * e)[0] - r) / FD_STEP
+                         for e in np.eye(len(p))]).T
+
+    def test_agrees_with_a_tight_reference(self):
+        # against per-shot columns at integrator tol 1e-13, the stacked
+        # Jacobian at the default tol is no worse than per-shot columns are
+        prob = self._problem()
+        p = np.array([1.0, 0.3, -0.2, 0.0])
+        ref = self._per_shot_jacobian(dataclasses.replace(prob, integrator_tol=1e-13), p)
+        stacked = np.abs(_jacobian(prob, p) - ref).max(axis=0)
+        per_shot = np.abs(self._per_shot_jacobian(prob, p) - ref).max(axis=0)
+        assert stacked.max() <= 6e-9
+        assert stacked.max() <= per_shot.max()
+
+    def test_row_leaving_the_chart_ends_the_solve(self, monkeypatch):
+        # with a step of pi the heading's neighbour rolls into the sphere's
+        # pole band; the solve stops at its start point, as a chart-exit
+        # column always did, and raises nothing
+        cfg0 = aligned_configuration(SPHERE, PLANE, np.array([1.0, 0.0]), np.zeros(2))
+        prob = ShootingProblem(cfg0=cfg0, cfg1=endpoint_map(cfg0, 0.0, np.zeros(2), 0.1, T=1.5),
+                               T=1.5)
+        monkeypatch.setattr(shooting, "FD_STEP", np.pi)
+        R, run = _shots(prob, np.array([[0.0, 0.0, 0.0, 0.0], [np.pi, 0.0, 0.0, 0.0]]))
+        assert R is None and run.truncated
+        res = solve(prob, p0=np.zeros(4))
+        r0, _ = _residual_vector(prob, np.zeros(4))
+        assert res.status == "stalled" and res.iterations == 0
+        assert np.array_equal(res.params, np.zeros(4))
+        assert res.history == [np.linalg.norm(r0)] and not res.run.truncated
+
+    def test_one_integration_per_jacobian(self, monkeypatch):
+        # the catalog problem: the first shot, then per iteration one
+        # stacked Jacobian run of 5 rows and one accepted trial, plus any
+        # rejected trials
+        scenario = scenario_by_name("sphere-on-plane-bvp")
+        cfg0 = _aligned_start(scenario)
+        true_p = np.asarray(scenario["true_params"], float)
+        T, tol = scenario["T"], scenario["tol"]
+        prob = ShootingProblem(cfg0=cfg0, T=T, integrator_tol=tol, seed=scenario["seed"],
+                               cfg1=endpoint_map(cfg0, true_p[0], true_p[1:3], true_p[3], T,
+                                                 tol=tol))
+        rng = np.random.default_rng(scenario["seed"])
+        p0 = true_p + rng.uniform(-1e-2, 1e-2, size=4)
+
+        calls, norms = [], []
+        integrate, residual_vector = geodesics.integrate, shooting._residual_vector
+
+        def counted_integrate(rhs, y0, *args, **kwargs):
+            calls.append((len(y0), kwargs["dense_output"]))
+            return integrate(rhs, y0, *args, **kwargs)
+
+        def noted_residual_vector(prob, p):
+            r, run = residual_vector(prob, p)
+            norms.append(None if r is None else float(np.linalg.norm(r)))
+            return r, run
+
+        monkeypatch.setattr(geodesics, "integrate", counted_integrate)
+        monkeypatch.setattr(shooting, "_residual_vector", noted_residual_vector)
+        res = solve(prob, p0=p0)
+        assert res.status == "converged"
+        rejected = sum(norm not in res.history for norm in norms)
+        size = geodesics.geodesic_layout(2).size
+        assert len(calls) == 1 + 2 * res.iterations + rejected
+        assert calls.count((5 * size, False)) == res.iterations
+        assert calls.count((size, True)) == len(calls) - res.iterations

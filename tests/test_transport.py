@@ -121,6 +121,20 @@ class TestTrajectoryDerivative:
         assert len(state) == 2 and abs(state[0] ** 2 + state[1] ** 2 - 1.0) < 1e-3
         assert isinstance(info.value.__cause__, error)
 
+    def test_nodes_only_run_skips_the_interpolants(self):
+        # the pendulum y'' = -sin y: without dense output the nodes and steps
+        # are the same, and each step saves its interpolant's 3 right-hand sides
+        def rhs(t, y):
+            return np.array([y[1], -np.sin(y[0])])
+
+        dense = integrate(rhs, np.array([1.0, 0.0]), 5.0, tol=1e-10)
+        nodes = integrate(rhs, np.array([1.0, 0.0]), 5.0, tol=1e-10, dense_output=False)
+        assert np.array_equal(nodes.t, dense.t) and np.array_equal(nodes.y, dense.y)
+        assert nodes.meta["steps"] == dense.meta["steps"] > 0
+        assert nodes.meta["rhs_evals"] == dense.meta["rhs_evals"] - 3 * dense.meta["steps"]
+        with pytest.raises(ValueError, match="without dense output"):
+            nodes.sample([1.0])
+
     def test_later_chunks_start_with_the_carried_step(self):
         # capped at 0.1, the oscillator's steps are the cap: a chunk that
         # started afresh would open with a shorter step of its own choosing,
