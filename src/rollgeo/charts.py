@@ -12,9 +12,9 @@ with their first partials) are the cheap evaluations the flows'
 right-hand sides make at every stage: they check the point's shape and
 domain once and return the coefficients.  ``ChartMetric.validate`` adds
 the symmetry and positive-definiteness checks.  The flows run it where
-states are accepted: at their start state and at every chunk boundary,
-where the frames are re-orthonormalized.  Between chunk boundaries the
-chart-exit event keeps accepted states in the domain.
+states are accepted: at their start state and, in the flows that
+re-orthonormalize frames, at every chunk boundary, where they do so.
+Elsewhere the chart-exit event keeps accepted states in the domain.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class ChartMetric:
 
     ``metric`` does not check that the coefficients are symmetric positive
     definite; ``validate`` does, and the flows call it at their start state
-    and at every chunk boundary.
+    and, in the flows that reproject, at every chunk boundary.
     """
 
     dim: int

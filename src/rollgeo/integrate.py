@@ -11,18 +11,20 @@ about a quarter of the steps of the 5(4) pair RK45.
 Its steps are long, and the checks differentiate the dense output by
 central differences (:meth:`Trajectory.derivative`), whose error follows
 the interpolation error inside a step.  The flows whose dense output is
-differentiated therefore cap the step at :data:`DENSE_MAX_STEP`; flows
-that are only sampled, and shooting shots, which read only the end state,
-run uncapped.
+differentiated therefore cap the step at :data:`DENSE_MAX_STEP`; every
+other run takes no step longer than :data:`CHUNK`.
 
-Integration proceeds in chunks so that state corrections such as frame
-re-orthonormalization can be applied between chunks without disturbing the
-stepper's order, and so that a domain-margin event can truncate a run with
-an explicit flag.  Each chunk starts with the last step of the one before
-that was not shortened to land on its end, so a restart neither spends
-right-hand sides on choosing a first step nor starts short.  A chunk that
-makes more than :data:`MAX_CHUNK_RHS` right-hand sides fails: that is the
-stepper grinding towards a singularity, not a flow of the library.
+The stepper is restarted only where a flow has a state correction to apply,
+such as frame re-orthonormalization: a run with a ``reproject`` hook
+proceeds in chunks of :data:`CHUNK` and is corrected between them, so the
+correction does not disturb the stepper's order.  A run without one is a
+single :func:`~scipy.integrate.solve_ivp` call.  A domain-margin event
+truncates either kind with an explicit flag.  Each chunk starts with the
+last step of the one before that was not shortened to land on its end, so
+a restart neither spends right-hand sides on choosing a first step nor
+starts short.  A run that makes more than :data:`MAX_CHUNK_RHS`
+right-hand sides within one :data:`CHUNK` of integrated time fails: that
+is the stepper grinding towards a singularity, not a flow of the library.
 
 Dense output is built only when asked for (``dense_output=True``, the
 default).  The chunks' step interpolants are then joined into one
@@ -61,10 +63,17 @@ DERIV_STEP = 1e-6
 # of its tolerance, at 0.1 it is 0.11.
 DENSE_MAX_STEP = 0.1
 
-# Right-hand sides allowed in one chunk, over 100 times what the largest
-# catalog chunk makes (92).  A run into a singularity of the metric would
-# otherwise grind on at ever smaller steps (79,103 right-hand sides on the
-# degenerating metric of the tests) before the stepper gives up.
+# Reprojection interval of the flows with a ``reproject`` hook, and the step
+# bound of every run.  Without the bound a run with no hook takes steps of
+# several time units, and its error over long horizons grows: heisenberg-lift
+# at T = 50 ends 1.4e-8 off the projected flow, against 2.3e-12 with it.
+CHUNK = 0.5
+
+# Right-hand sides allowed within one CHUNK of integrated time, counted from
+# the time a stage first enters it: over 100 times what the largest catalog
+# chunk makes (92).  A run into a singularity of the metric would otherwise
+# grind on at ever smaller steps (79,103 right-hand sides on the degenerating
+# metric of the tests) before the stepper gives up.
 MAX_CHUNK_RHS = 10_000
 
 
@@ -230,7 +239,6 @@ def integrate(
     *,
     margin: Optional[Callable[[Array], float]] = None,
     reproject: Optional[Callable[[Array], Array]] = None,
-    chunk: float = 0.5,
     t0: float = 0.0,
     max_step: float = np.inf,
     dense_output: bool = True,
@@ -239,17 +247,19 @@ def integrate(
 
     ``margin(y)`` positive means in-domain; a zero crossing terminates the
     run and sets the ``truncated`` flag.  ``reproject`` is applied to the
-    state between chunks (drift correction); corrections are expected to be
-    below the integration tolerance; the largest is recorded in ``meta``
-    as ``max_reprojection``, next to the cost of the run: ``rhs_evals``,
-    the right-hand side evaluations, and ``steps``, the accepted steps,
-    each summed over the chunks.  With ``dense_output=False`` the run
-    keeps only its nodes, and :meth:`Trajectory.sample` raises.
+    state every ``CHUNK`` of time (drift correction); corrections are
+    expected to be below the integration tolerance; the largest is recorded
+    in ``meta`` as ``max_reprojection``, next to the cost of the run:
+    ``chunks``, the ``solve_ivp`` calls, ``rhs_evals``, the right-hand
+    side evaluations, and ``steps``, the accepted steps, each
+    summed over the chunks.  No step is longer than ``min(max_step, CHUNK)``
+    (times 1 + 1e-9).  With ``dense_output=False`` the run keeps only its
+    nodes, and :meth:`Trajectory.sample` raises.
 
-    A failure of the stepper, a chunk that makes more than
-    ``MAX_CHUNK_RHS`` right-hand sides, or a ``LinAlgError`` or library
-    error raised by ``rhs``, becomes a ``RuntimeError`` naming the time
-    and state of the failing step or call (the raised error is chained).
+    A failure of the stepper, more than ``MAX_CHUNK_RHS`` right-hand sides
+    within one ``CHUNK`` of time, or a ``LinAlgError`` or library error
+    raised by ``rhs``, becomes a ``RuntimeError`` naming the time and state
+    of the failing step or call (the raised error is chained).
     """
     y0 = np.asarray(y0, dtype=float)
     if margin is not None and margin(y0) <= 0.0:
@@ -264,13 +274,18 @@ def integrate(
         exit_event.terminal = True  # type: ignore[attr-defined]
         events = [exit_event]
 
-    calls = 0  # right-hand sides in the current chunk
+    window = 0  # the latest CHUNK of time that a stage has entered
+    calls = 0  # right-hand sides since then
 
     def checked_rhs(t, y):
-        nonlocal calls
+        nonlocal window, calls
+        entered = int(direction * (t - t0) // CHUNK)
+        if entered > window:
+            window, calls = entered, 0
         calls += 1
         if calls > MAX_CHUNK_RHS:
-            raise _failure(t, y, f"more than {MAX_CHUNK_RHS} right-hand sides in one chunk")
+            raise _failure(t, y, f"more than {MAX_CHUNK_RHS} right-hand sides "
+                                 f"within {CHUNK} of time")
         try:
             return rhs(t, y)
         except (np.linalg.LinAlgError, RollgeoError) as exc:
@@ -281,18 +296,19 @@ def integrate(
     interpolants: list = []
     truncated = False
     max_correction = 0.0
-    rhs_evals = steps = 0
+    chunks = rhs_evals = steps = 0
 
-    # Steps of exactly max_step add up, with rounding, to just short of a
+    # A run with nothing to correct is one chunk.
+    chunk = CHUNK if reproject is not None else np.inf
+    # Steps of exactly the cap add up, with rounding, to just short of a
     # chunk's end and leave a last step of about 1e-16 (a whole step's
     # right-hand sides); a cap 1e-9 wider lets the last full step land on it.
-    step_cap = max_step * (1 + 1e-9)
+    step_cap = min(max_step, CHUNK) * (1 + 1e-9)
     t_cur, y_cur = t0, y0
     first_step = None  # solve_ivp picks the first chunk's first step
     while direction * (t_end - t_cur) > 1e-14:
         span = min(chunk, abs(t_end - t_cur))
         t_next = t_cur + direction * span
-        calls = 0
         res = solve_ivp(
             checked_rhs,
             (t_cur, t_next),
@@ -309,6 +325,7 @@ def integrate(
             raise _failure(res.t[-1], res.y[:, -1], res.message)
         if dense_output:
             interpolants += res.sol.interpolants
+        chunks += 1
         rhs_evals += res.nfev
         steps += len(res.t) - 1
         ts.append(res.t if not ts else res.t[1:])
@@ -333,5 +350,6 @@ def integrate(
         y=np.concatenate(ys, axis=0),
         dense=OdeSolution(t_all, interpolants) if dense_output else None,
         truncated=truncated,
-        meta={"max_reprojection": max_correction, "rhs_evals": rhs_evals, "steps": steps},
+        meta={"max_reprojection": max_correction, "chunks": chunks,
+              "rhs_evals": rhs_evals, "steps": steps},
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import pathlib
 
 import numpy as np
 
@@ -271,6 +272,66 @@ def _check_vector(key: str, value, size: int) -> None:
         raise ScenarioError(f"field {key!r} must have {size} entries, got {len(value)}")
 
 
+_SCALARS = ("ell", "theta", "L", "b1", "b2", "a", "perturbation")
+
+
+def _check_optional(scenario: dict) -> None:
+    """The optional fields: the file stem ``name``, ``seed`` and ``thresholds``."""
+    name = scenario.get("name", "scenario")
+    if not (isinstance(name, str) and name and "\0" not in name
+            and pathlib.PurePath(name).name == name):
+        raise ScenarioError(f"field 'name' must be a file name without a directory, "
+                            f"got {name!r}")
+    seed = scenario.get("seed", 0)
+    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
+        raise ScenarioError(f"field 'seed' must be a non-negative integer, got {seed!r}")
+    thresholds = scenario.get("thresholds", {})
+    if not isinstance(thresholds, dict):
+        raise ScenarioError(f"field 'thresholds' must be a mapping of invariant names "
+                            f"to numbers, got {thresholds!r}")
+    for key, bound in thresholds.items():
+        if not _is_number(bound):
+            raise ScenarioError(f"field 'thresholds.{key}' must be a number, got {bound!r}")
+
+
+def _check_lift(scenario: dict) -> None:
+    """The testbed, Hamiltonian and initial covector of a ``verify-lift`` scenario."""
+    try:
+        tb = submersion.testbed_by_name(scenario["testbed"])
+    except Exception as exc:
+        raise ScenarioError(f"field 'testbed': {exc}") from exc
+    ham = scenario["hamiltonian"]
+    chart = None
+    if ham != "free":
+        try:
+            chart = chart_catalog.chart_by_name(ham)
+        except Exception as exc:
+            raise ScenarioError(f"field 'hamiltonian' must be 'free' or a chart name: "
+                                f"{exc}") from exc
+        if chart.dim != tb.base_dim:
+            raise ScenarioError(f"field 'hamiltonian': chart '{chart.label}' has dimension "
+                                f"{chart.dim}, the testbed's base {tb.base_dim}")
+    init = scenario["initial"]
+    if not isinstance(init, dict):
+        raise ScenarioError(f"field 'initial' must be a mapping of x, y, a and b, "
+                            f"got {init!r}")
+    for slot, size in (("x", tb.base_dim), ("y", tb.fiber_dim),
+                       ("a", tb.base_dim), ("b", tb.fiber_dim)):
+        if slot not in init:
+            raise ScenarioError(f"kind 'verify-lift' requires field 'initial.{slot}'")
+        _check_vector(f"initial.{slot}", init[slot], size)
+    x, y = np.asarray(init["x"], float), np.asarray(init["y"], float)
+    if tb.margin(x, y) <= 0:
+        raise ScenarioError(f"field 'initial': point ({x}, {y}) outside the domain of "
+                            f"testbed '{tb.label}'")
+    try:
+        tb.validate(x, y)
+    except RollgeoError as exc:
+        raise ScenarioError(f"field 'initial': {exc}") from exc
+    if chart is not None:
+        _check_start_point("initial.x", chart, x)
+
+
 def _check_start_point(key: str, chart: chart_catalog.ChartMetric, x: np.ndarray) -> None:
     """A start point must lie inside its chart, where the metric is positive definite."""
     if chart.margin(x) <= 0:
@@ -298,6 +359,13 @@ def validate_scenario(scenario: dict) -> dict:
         raise ScenarioError(f"field 'T' must be a nonzero number, got {scenario['T']!r}")
     if "tol" in scenario and not (_is_number(scenario["tol"]) and scenario["tol"] > 0):
         raise ScenarioError(f"field 'tol' must be a positive number, got {scenario['tol']!r}")
+    for key in _REQUIRED[kind]:
+        if key in _SCALARS and not _is_number(scenario[key]):
+            raise ScenarioError(f"field {key!r} must be a number, got {scenario[key]!r}")
+    if kind == "bvp" and scenario["perturbation"] < 0:
+        raise ScenarioError(f"field 'perturbation' must not be negative, "
+                            f"got {scenario['perturbation']!r}")
+    _check_optional(scenario)
     dims = {}
     for key in ("chart", "chart_hat"):
         if key in scenario:
@@ -316,11 +384,8 @@ def validate_scenario(scenario: dict) -> dict:
         if key in _REQUIRED[kind]:
             _check_start_point(key, chart_catalog.chart_by_name(scenario[chart_key]),
                                np.asarray(scenario[key], float))
-    if "testbed" in scenario:
-        try:
-            submersion.testbed_by_name(scenario["testbed"])
-        except Exception as exc:
-            raise ScenarioError(f"field 'testbed': {exc}") from exc
+    if kind == "verify-lift":
+        _check_lift(scenario)
     if kind == "pendulum-2d":
         chart = chart_catalog.chart_by_name(scenario["chart"])
         chart_hat = chart_catalog.chart_by_name(scenario["chart_hat"])

@@ -1,15 +1,27 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rollgeo import charts as chart_catalog
 from rollgeo import suites
 from rollgeo.charts import ChartMetric
 from rollgeo.cli import main
 from rollgeo.errors import FrameError
-from rollgeo.suites import scenario_by_name
+from rollgeo.suites import scenario_by_name, scenario_names
+
+
+DELETE = object()
+
+# Replacement values of the mutation test: wrong types, signs, shapes and sizes.
+MUTANTS = (DELETE, None, "z", "", True, -3, -1, 0, 1.5, [], [1], [1, 2], [[0.5, 0.5]],
+           {}, {"x": 1})
 
 
 @pytest.fixture()
@@ -102,6 +114,77 @@ class TestRunErrors:
         result = _run(runner, "run", str(path), "--output-dir", str(tmp_path / "out"))
         assert result.exit_code == 3
         assert f"'{field}'" in result.output and message in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("name, edit, field", [
+        ("heisenberg-lift", {"initial": {"x": [0.1], "y": [0.1], "a": [0.4, 0.7],
+                                         "b": [0.5]}}, "'initial.x'"),
+        ("heisenberg-lift", {"initial": {"x": [0.3, -0.2], "y": [0.1], "a": [0.4, 0.7],
+                                         "b": "z"}}, "'initial.b'"),
+        ("heisenberg-lift", {"initial": {"x": [0.3, -0.2], "a": [0.4, 0.7],
+                                         "b": [0.5]}}, "'initial.y'"),
+        ("heisenberg-lift", {"initial": [1, 2]}, "'initial'"),
+        ("heisenberg-lift", {"hamiltonian": "nope"}, "'hamiltonian'"),
+        ("heisenberg-lift", {"hamiltonian": "sphere(1)",  # x at the pole
+                             "initial": {"x": [0.0, 0.0], "y": [0.1], "a": [0.4, 0.7],
+                                         "b": [0.5]}}, "'initial.x'"),
+        ("heisenberg-lift", {"hamiltonian": "euclidean(3)"}, "'hamiltonian'"),
+        ("frame-bundle-lift", {"initial": {"x": [0.0, 0.0], "y": [0.0, 0.0, 0.0, 0.0],
+                                           "a": [0.12, 0.15], "b": [0.1, 0.05, 0.02, 0.03]}},
+         "'initial'"),
+        ("sphere-on-plane-geodesic", {"ell": "z"}, "'ell'"),
+        ("sphere-on-plane-geodesic", {"ell": None}, "'ell'"),
+        ("sphere-on-plane-pendulum", {"theta": None}, "'theta'"),
+        ("sphere-on-plane-pendulum", {"theta": True}, "'theta'"),
+        ("sphere-on-plane-geodesic", {"thresholds": [1]}, "'thresholds'"),
+        ("sphere-on-plane-geodesic", {"thresholds": {"speed_drift": "x"}},
+         "'thresholds.speed_drift'"),
+        ("sphere-on-plane-bvp", {"perturbation": -1}, "'perturbation'"),
+        ("sphere-on-plane-bvp", {"seed": -3}, "'seed'"),
+        ("sphere-on-plane-bvp", {"seed": 1.5}, "'seed'"),
+        ("sphere-on-plane-geodesic", {"name": "a/b"}, "'name'"),
+    ])
+    def test_malformed_field_is_validation_error(self, runner, tmp_path, name, edit,
+                                                 field):
+        scenario = scenario_by_name(name)
+        scenario.update(edit)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "out"
+        result = _run(runner, "run", str(path), "--output-dir", str(out))
+        assert result.exit_code == 3, result.output
+        assert field in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_mutated_catalog_scenario_exits_with_a_documented_code(self, data):
+        # One or two fields of a catalog scenario, nested ones included, are
+        # replaced by a value of the wrong type, sign, shape or size, or are
+        # deleted; the run is cut short so that valid mutants stay cheap.
+        scenario = scenario_by_name(data.draw(st.sampled_from(scenario_names())))
+        scenario["T"] = math.copysign(0.25, scenario["T"])
+        for _ in range(data.draw(st.integers(1, 2))):
+            owner = scenario
+            key = data.draw(st.sampled_from(sorted(scenario) + ["seed"]))
+            if isinstance(scenario.get(key), dict) and data.draw(st.booleans()):
+                owner = scenario[key]
+                if not owner:
+                    continue
+                key = data.draw(st.sampled_from(sorted(owner)))
+            value = data.draw(st.sampled_from(MUTANTS))
+            if value is DELETE:
+                owner.pop(key, None)
+            else:
+                owner[key] = value
+        runner = CliRunner()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mutant.json"
+            path.write_text(json.dumps(scenario))
+            result = _run(runner, "run", str(path), "--output-dir", str(Path(tmp) / "out"),
+                          "--samples", "20")
+        assert result.exit_code in range(5), result.output
         assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("name, field, value", [

@@ -32,6 +32,7 @@ from rollgeo.geometry import (christoffel, curvature_form_from_lowered,
                               orthonormal_frame_at, riemann)
 from rollgeo.rolling import aligned_configuration, develop_layout
 from rollgeo.submersion import canonical_layout, force_layout
+from rollgeo.suites import _geodesic_initial, scenario_by_name
 
 SPHERE = charts.sphere(1.0)
 PLANE = charts.euclidean(2)
@@ -242,6 +243,12 @@ class TestFullFlow:
         d0 /= np.linalg.norm(d0)
         for p in pts[1:]:
             assert abs((p - pts[0]) @ np.array([-d0[1], d0[0]])) < 1e-8
+
+    def test_catalog_run_reports_its_chunks(self):
+        # the geodesic reprojects its frames every CHUNK = 0.5 of time
+        s0 = _geodesic_initial(scenario_by_name("sphere-on-plane-geodesic"))
+        run = integrate_geodesic(s0, 10.0, 1e-9)
+        assert run.traj.meta["chunks"] == 20
 
     def test_theorem_residual(self):
         run = integrate_geodesic(_sphere_on_plane_state().to_full(), 3.0)

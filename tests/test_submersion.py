@@ -322,6 +322,15 @@ class TestVerifyProjection:
         assert rep["sup_error_lift"] <= 1e-6
         assert rep["energy_drift"] <= 1e-8
 
+    def test_heisenberg_long_horizon(self):
+        # the catalog heisenberg-lift data over T = 50: with steps held to
+        # CHUNK the flows agree to about 2e-12; uncapped they part by 1.4e-8
+        s0 = CotangentState(x=[0.3, -0.2], y=[0.1], a=[0.4, 0.7], b=[0.5])
+        rep = verify_projection(heisenberg(), free_hamiltonian(2), s0, 50.0)
+        assert not rep["truncated"]
+        assert max(rep["sup_error_lambda"], rep["sup_error_beta"],
+                   rep["sup_error_lift"]) <= 1e-10
+
     def test_frame_bundle_smoke(self):
         tb = frame_bundle(charts.sphere(1.0), charts.euclidean(2))
         s0 = CotangentState(x=[1.4, 0.0], y=np.zeros(4), a=[0.5, 0.4],

@@ -88,8 +88,8 @@ class TestTrajectoryDerivative:
 
     @pytest.mark.parametrize("margin", [None, lambda y: 0.5 + y[0]])
     def test_cost_in_meta_counts_every_call_and_step(self, margin):
-        # the oscillator over six chunks; with the margin it is cut at
-        # cos t = -0.5, inside the fifth chunk
+        # the oscillator over T = 3; with the margin it is cut at
+        # cos t = -0.5, near t = 2.1
         calls = []
 
         def rhs(t, y):
@@ -141,7 +141,7 @@ class TestTrajectoryDerivative:
         # and steps of exactly 0.1 would add up to just short of a chunk's
         # end and leave a step of about 1e-16 there
         traj = integrate(lambda t, y: np.array([y[1], -y[0]]), np.array([1.0, 0.0]),
-                         3.0, tol=1e-9, max_step=0.1)
+                         3.0, tol=1e-9, max_step=0.1, reproject=lambda y: y)
         steps = np.diff(traj.t[traj.t >= 0.5])
         assert len(steps) == 25
         assert np.allclose(steps, 0.1, rtol=1e-8, atol=0)
@@ -162,10 +162,28 @@ class TestTrajectoryDerivative:
         m = re.search(r"at t = (\S+) with state", str(info.value))
         assert abs(float(m.group(1)) - 0.5) < 1e-3
 
+    def test_run_without_hook_is_one_chunk_of_bounded_steps(self):
+        # y' = 1 is integrated exactly by a step of any length: uncapped, the
+        # stepper crosses T = 3 in one or two steps.  A run with nothing to
+        # reproject is one chunk, and its steps are held to CHUNK.
+        traj = integrate(lambda t, y: np.ones(1), np.zeros(1), 3.0)
+        assert traj.meta["chunks"] == 1
+        assert np.diff(traj.t).max() <= integrate_module.CHUNK * (1 + 1e-9)
+        assert traj.t[-1] == 3.0
+
+    def test_rhs_cap_counts_per_chunk_of_time(self, monkeypatch):
+        # the oscillator at steps of 0.01 makes about 750 right-hand sides in
+        # each CHUNK of time, and about 4,500 over T = 3, in one chunk
+        monkeypatch.setattr(integrate_module, "MAX_CHUNK_RHS", 1000)
+        traj = integrate(lambda t, y: np.array([y[1], -y[0]]), np.array([1.0, 0.0]),
+                         3.0, max_step=0.01)
+        assert traj.meta["chunks"] == 1
+        assert traj.meta["rhs_evals"] > 4 * 1000
+
     def test_chunk_boundaries_take_the_earlier_chunk(self):
         # y' = 1 in chunks of 0.5, each boundary state shifted by 1e-3: at a
         # boundary the dense output is the earlier chunk's, before the shift.
-        traj = integrate(lambda t, y: np.ones(1), np.zeros(1), 1.5, chunk=0.5,
+        traj = integrate(lambda t, y: np.ones(1), np.zeros(1), 1.5,
                          reproject=lambda y: y + 1e-3)
         ys = traj.sample([0.0, 0.5, 0.75, 1.0, 1.5])[:, 0]
         assert np.allclose(ys, [0.0, 0.5, 0.751, 1.001, 1.502], rtol=0, atol=1e-12)
