@@ -114,10 +114,13 @@ def main() -> None:
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", help="Trajectory table format.")
 @click.option("--samples", type=int, default=200,
-              help="Number of rows in the trajectory table.")
+              help="Number of rows in the trajectory table (at least 2).")
 def run_command(scenario: str, tol, horizon, output_dir, seed, fmt, samples):
     """Run one scenario and write its trajectory and summary artifacts."""
     record = _load_scenario(scenario)
+    if samples < 2:
+        click.echo(f"error: option '--samples' must be at least 2, got {samples}", err=True)
+        sys.exit(EXIT_VALIDATION)
     if tol is not None:
         record["tol"] = tol
     if horizon is not None:

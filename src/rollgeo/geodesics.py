@@ -35,11 +35,23 @@ and the frames by fdot = -g^-1 N f with N = (D + B^T - B) / 2, where
 D = sum_i X^i d_i g and B[l, m] = sum_i X^i d_l g_im are the metric
 derivative contracted with X = xdot (N is the Christoffel matrix
 Gamma(X) with its upper index lowered), and g^-1 = adj g / det g.  That is
-one metric evaluation, one metric derivative and one curvature per surface.
+one metric evaluation, one metric derivative and one curvature per surface,
+all from one :class:`~rollgeo.geometry.SurfaceJet`.
 The surface system takes a stack of states, one per row, and evaluates
 everything but the charts' own functions once for the whole stack; a
 single state is a stack of one.  Other dimensions go through the
 curvature tensor, one state at a time.
+
+The reduced system takes the same kernel on the 2-point stack (x, xhat):
+u = a (cos theta, sin theta), the frames move as above, and its memory
+channels need kappadot = d kappa . xdot, one central difference of the
+curvature per surface.  Form "a" of the flat-target flow is the closed
+form with the running scalar charge ell + w_0 v_1 - w_1 v_0.  Three paths
+stay on the curvature tensor on purpose, so that the checks compare
+independent code: form "b"'s contraction of the Riemann tensor (with its
+Christoffel transport), the slip and twist residual of
+:func:`rollgeo.rolling.noslip_notwist_residual`, and every dimension
+above 2.
 """
 
 from __future__ import annotations
@@ -50,14 +62,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .charts import Array, ChartMetric, central_diff
+from .charts import Array, ChartMetric
 from .errors import DimensionError
-from .geometry import (
-    christoffel,
-    curvature_form_from_lowered,
-    gauss_curvature,
-    riemann,
-)
+from .geometry import (SurfaceJet, christoffel, curvature_form_from_lowered, riemann,
+                       surface_kappa)
 from .integrate import (DEFAULT_TOL, DENSE_MAX_STEP, DERIV_STEP, Skew, StateLayout,
                         Trajectory, integrate)
 from .integrate import skew_to_vec, vec_to_skew  # noqa: F401 (re-exported)
@@ -84,6 +92,14 @@ def geodesic_layout(n: int) -> StateLayout:
 # C and S quadrature slots of the memory force.
 PENDULUM_LAYOUT = StateLayout(x=2, xhat=2, f=(2, 2), fhat=(2, 2), theta=(), L=(),
                               b1=(), b2=(), C=(), S=())
+
+# Slots of the reduced state: the contact points, the frames, (theta, L, b1,
+# b2) and (C, S), each adjacent.
+_PEND = PENDULUM_LAYOUT.slices
+_PEND_POINTS = slice(_PEND["x"].start, _PEND["xhat"].stop)
+_PEND_FRAMES = slice(_PEND["f"].start, _PEND["fhat"].stop)
+_PEND_SCALARS = slice(_PEND["theta"].start, _PEND["b2"].stop)
+_PEND_MEMORY = slice(_PEND["C"].start, _PEND["S"].stop)
 
 
 @lru_cache(maxsize=None)
@@ -163,9 +179,9 @@ def curvature_forms_along(chart: ChartMetric, x: Array, f: Array, X: Array) -> l
     """
     n = chart.dim
     if n == 2:
-        kap = gauss_curvature(chart, x)
-        dens = np.sqrt(np.linalg.det(chart.metric(x)))
-        return [kap * dens * (X[0] * f[1, j] - X[1] * f[0, j]) * E2 for j in range(2)]
+        jet = SurfaceJet((chart,), [x])
+        k = jet.kappa[0] * jet.rho[0]
+        return [k * (X[0] * f[1, j] - X[1] * f[0, j]) * E2 for j in range(2)]
     _, low = riemann(chart, x)
     return [curvature_form_from_lowered(low, f, X, f[:, j]) for j in range(n)]
 
@@ -251,35 +267,29 @@ _FRAMES = slice(_SLOTS["f"].start, _SLOTS["fhat"].stop)
 _UV = slice(_SLOTS["u"].start, _SLOTS["v"].stop)
 _L = _SLOTS["lam"].start
 
-# adj g = _ADJ_SIGNS * g reversed along both axes; (k, khat) @ _CHARGE_SPLIT
-# is (k - khat, khat), the coefficients of udot and vdot.
-_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+# (k, khat) @ _CHARGE_SPLIT is (k - khat, khat), the coefficients of udot and vdot.
 _CHARGE_SPLIT = np.array([[1.0, 0.0], [-1.0, 1.0]])
+
+
+def _frame_det(f: Array) -> Array:
+    """det f of each 2-by-2 matrix of a stack."""
+    return f[..., 0, 0] * f[..., 1, 1] - f[..., 0, 1] * f[..., 1, 0]
 
 
 def _surface_rhs(chart: ChartMetric, chart_hat: ChartMetric, z: Array) -> Array:
     """``geodesic_rhs`` for surfaces, in the closed form of the module docstring.
 
-    The m states of the stack give 2m points, ``chart`` at the even rows
-    and ``chart_hat`` at the odd ones; each chart is called once per point,
-    and the rest is computed once for all of them.
+    The m states of the stack give 2m points of one :class:`SurfaceJet`,
+    ``chart`` at the even rows and ``chart_hat`` at the odd ones.
     """
     zs = z.reshape(-1, _SIZE)
     m = len(zs)
     xs, fs = zs[:, _POINTS].reshape(2 * m, 2), zs[:, _FRAMES].reshape(2 * m, 2, 2)
     u, v, L = zs[:, _SLOTS["u"]], zs[:, _SLOTS["v"]], zs[:, _L:_L + 1]
-    g, dg, kappa = np.empty((2 * m, 2, 2)), np.empty((2 * m, 2, 2, 2)), np.empty(2 * m)
-    for i, (surface, x) in enumerate(zip((chart, chart_hat) * m, xs)):
-        g[i], dg[i] = surface.metric_jet(x)
-        kappa[i] = (surface.kappa(x) if surface.kappa is not None
-                    else gauss_curvature(surface, x))
-    adj = g[:, ::-1, ::-1] * _ADJ_SIGNS
-    det = (g[:, 0] * adj[:, 0]).sum(-1)
+    jet = SurfaceJet((chart, chart_hat) * m, xs)
     xdot = (fs.reshape(m, 2, 2, 2) @ u[:, None, :, None]).reshape(2 * m, 2)
-    B = (xdot[:, None, None, :] @ dg)[:, :, 0]
-    D = (xdot[:, None, :] @ dg.reshape(2 * m, 2, 4)).reshape(2 * m, 2, 2)
-    fdot = (adj @ ((B - B.swapaxes(1, 2) - D) @ fs)) / (2 * det)[:, None, None]
-    k = kappa * np.sqrt(det) * (fs[:, 0, 0] * fs[:, 1, 1] - fs[:, 0, 1] * fs[:, 1, 0])
+    fdot = jet.frame_rate(xdot, fs)
+    k = jet.kappa * jet.rho * _frame_det(fs)
     ju = u @ E2  # (-u_1, u_0)
     out = np.empty((m, _SIZE))
     out[:, _POINTS] = xdot.reshape(m, 4)
@@ -397,9 +407,9 @@ class PendulumRun:
         return self.traj.grid(m)
 
     def channels(self, ts) -> dict:
-        out = PENDULUM_LAYOUT.split(self.traj.sample(ts))
-        out["kappa"] = np.array([gauss_curvature(self.chart, p) for p in out["x"]])
-        out["kappahat"] = np.array([gauss_curvature(self.chart_hat, p) for p in out["xhat"]])
+        zs = self.traj.sample(ts)
+        out = PENDULUM_LAYOUT.split(zs)
+        out["kappa"], out["kappahat"] = _contact_curvatures(self.chart, self.chart_hat, zs)
         out["F"] = np.sin(out["theta"]) * out["C"] - np.cos(out["theta"]) * out["S"]
         return out
 
@@ -409,6 +419,12 @@ class PendulumRun:
                                    x=d["x"], xhat=d["xhat"], f=d["f"], fhat=d["fhat"])
         return Pendulum2DState(cfg=cfg, theta=d["theta"], L=d["L"], b1=d["b1"], b2=d["b2"],
                                a=self.a)
+
+
+def _contact_curvatures(chart: ChartMetric, chart_hat: ChartMetric, zs: Array) -> Array:
+    """kappa at x and kappahat at xhat, one entry per row of a stack of reduced states."""
+    points = zs[:, _PEND_POINTS].reshape(-1, 2)
+    return surface_kappa((chart, chart_hat) * len(zs), points).reshape(-1, 2).T
 
 
 def reduce_2d(
@@ -431,42 +447,34 @@ def reduce_2d(
     chart.validate(s0.cfg.x)
     chart_hat.validate(s0.cfg.xhat)
     a = s0.a
+    charts = (chart, chart_hat)
 
     def rhs(t, z):
-        d = PENDULUM_LAYOUT.split(z)
-        x, xhat, f, fhat = d["x"], d["xhat"], d["f"], d["fhat"]
-        theta, L, b1, b2 = d["theta"], d["L"], d["b1"], d["b2"]
-        kap = gauss_curvature(chart, x)
-        kaphat = gauss_curvature(chart_hat, xhat)
-        gap = kap - kaphat
+        theta, L, b1, b2 = z[_PEND_SCALARS]
         c, s = np.cos(theta), np.sin(theta)
-        u = a * np.array([c, s])
-        xdot = f @ u
-        xhatdot = fhat @ u
-        fdot = -gamma_contract(christoffel(chart, x), xdot) @ f
-        fhatdot = -gamma_contract(christoffel(chart_hat, xhat), xhatdot) @ fhat
+        fs = z[_PEND_FRAMES].reshape(2, 2, 2)
+        jet = SurfaceJet(charts, z[_PEND_POINTS].reshape(2, 2))
+        xdot = fs @ (a * np.array([c, s]))  # rows: xdot = f u, xhatdot = fhat u
+        kap, kaphat = jet.kappa
+        kapdot, kaphatdot = jet.kappa_rate(xdot)
+        gap = kap - kaphat
         thetadot = L * gap
-        Ldot = a * b2
-        b1dot = thetadot * b2
-        b2dot = a * L * kaphat - thetadot * b1
-        kapdot = float(central_diff(lambda p: gauss_curvature(chart, p), x) @ xdot)
-        kaphatdot = float(
-            central_diff(lambda p: gauss_curvature(chart_hat, p), xhat) @ xhatdot)
         rho = 1.0 / gap if abs(gap) >= RHO_FLOOR else 0.0
         w = rho * rho * (kap * kaphatdot - kapdot * kaphat)
-        return PENDULUM_LAYOUT.pack(x=xdot, xhat=xhatdot, f=fdot, fhat=fhatdot,
-                                    theta=thetadot, L=Ldot, b1=b1dot, b2=b2dot,
-                                    C=c * w, S=s * w)
+        out = np.empty(PENDULUM_LAYOUT.size)
+        out[_PEND_POINTS] = xdot.ravel()
+        out[_PEND_FRAMES] = jet.frame_rate(xdot, fs).ravel()
+        out[_PEND_SCALARS] = thetadot, a * b2, thetadot * b2, a * L * kaphat - thetadot * b1
+        out[_PEND_MEMORY] = c * w, s * w
+        return out
 
     margin, reproject = _contact_hooks(PENDULUM_LAYOUT, chart, chart_hat)
     z0 = PENDULUM_LAYOUT.pack(x=s0.cfg.x, xhat=s0.cfg.xhat, f=s0.cfg.f, fhat=s0.cfg.fhat,
                               theta=s0.theta, L=s0.L, b1=s0.b1, b2=s0.b2, C=0.0, S=0.0)
     traj = integrate(rhs, z0, T, tol, margin=margin, reproject=reproject,
                      max_step=DENSE_MAX_STEP)
-    nodes = PENDULUM_LAYOUT.split(traj.y)
-    traj.meta["rho_singular"] = any(
-        abs(gauss_curvature(chart, x) - gauss_curvature(chart_hat, xhat)) < RHO_FLOOR
-        for x, xhat in zip(nodes["x"], nodes["xhat"]))
+    kap, kaphat = _contact_curvatures(chart, chart_hat, traj.y)
+    traj.meta["rho_singular"] = bool((np.abs(kap - kaphat) < RHO_FLOOR).any())
     return PendulumRun(chart=chart, chart_hat=chart_hat, a=a, traj=traj)
 
 
@@ -567,7 +575,9 @@ def rn_rolling_flow(
 
         udot_j = <lam0, Om(f u, f_j)> + g(R(f u, f_j) f v0, f (y - y0)),
 
-    integrated as an independent code path.  State layout for both:
+    integrated as an independent code path: form "a" on a surface takes
+    the surface kernel and the scalar charge, and form "b" always takes the
+    Christoffel symbols and the Riemann tensor.  State layout for both:
     ``rn_layout``, ``[x, f, u, w]``, with the w slot holding y in form "b".
     """
     n = chart.dim
@@ -576,34 +586,52 @@ def rn_rolling_flow(
     v0 = np.asarray(v0, dtype=float)
     chart.validate(x0)
 
-    if form == "a":
-        def force(x, f, u, w):
-            xdot = f @ u
-            lam = lam0 + np.outer(w, v0) - np.outer(v0, w)
-            om = curvature_forms_along(chart, x, f, xdot)
-            return np.array([pair(lam, om[j]) for j in range(n)])
-    elif form == "b":
-        def force(x, f, u, y):
-            xdot = f @ u
-            om = curvature_forms_along(chart, x, f, xdot)
-            base = np.array([pair(lam0, om[j]) for j in range(n)])
-            _, low = riemann(chart, x)
-            fv = f @ v0
-            fy = f @ y
-            corr = np.array([
-                np.einsum("ijkl,i,j,k,l->", low, xdot, f[:, j], fy, fv)
-                for j in range(n)
-            ])
-            return base + corr
-    else:
+    if form not in ("a", "b"):
         raise ValueError("form must be 'a' or 'b'")
+    if form == "a" and n == 2:
+        # lam = ell E2 with ell = lam0_01 + w_0 v0_1 - w_1 v0_0, in the closed
+        # form of the module docstring: udot = ell k (-u_1, u_0), k = kappa rho det f.
+        ell0, (v00, v01) = lam0[0, 1], v0
+        x_slot, f_slot, u_slot, w_slot = (layout.slices[name] for name in "xfuw")
 
-    def rhs(t, z):
-        d = layout.split(z)
-        x, f, u = d["x"], d["f"], d["u"]
-        xdot = f @ u
-        fdot = -gamma_contract(christoffel(chart, x), xdot) @ f
-        return layout.pack(x=xdot, f=fdot, u=force(x, f, u, d["w"]), w=u)
+        def rhs(t, z):
+            f, u, w = z[f_slot].reshape(1, 2, 2), z[u_slot], z[w_slot]
+            jet = SurfaceJet((chart,), [z[x_slot]])
+            xdot = f @ u
+            ell = ell0 + w[0] * v01 - w[1] * v00
+            out = np.empty(layout.size)
+            out[x_slot] = xdot[0]
+            out[f_slot] = jet.frame_rate(xdot, f).ravel()
+            out[u_slot] = ell * jet.kappa[0] * jet.rho[0] * _frame_det(f[0]) * (u @ E2)
+            out[w_slot] = u
+            return out
+    else:
+        if form == "a":
+            def force(x, f, u, w):
+                xdot = f @ u
+                lam = lam0 + np.outer(w, v0) - np.outer(v0, w)
+                om = curvature_forms_along(chart, x, f, xdot)
+                return np.array([pair(lam, om[j]) for j in range(n)])
+        else:
+            def force(x, f, u, y):
+                xdot = f @ u
+                om = curvature_forms_along(chart, x, f, xdot)
+                base = np.array([pair(lam0, om[j]) for j in range(n)])
+                _, low = riemann(chart, x)
+                fv = f @ v0
+                fy = f @ y
+                corr = np.array([
+                    np.einsum("ijkl,i,j,k,l->", low, xdot, f[:, j], fy, fv)
+                    for j in range(n)
+                ])
+                return base + corr
+
+        def rhs(t, z):
+            d = layout.split(z)
+            x, f, u = d["x"], d["f"], d["u"]
+            xdot = f @ u
+            fdot = -gamma_contract(christoffel(chart, x), xdot) @ f
+            return layout.pack(x=xdot, f=fdot, u=force(x, f, u, d["w"]), w=u)
 
     def margin(z):
         return chart.margin(layout.split(z)["x"])
@@ -634,12 +662,10 @@ def charge_monitor(run: GeodesicRun, samples: int = 2000) -> dict:
     ts = run.grid(samples)
     d = run.split(run.traj.sample(ts))
     ell = d["lam"][:, 0, 1]
-    integrand = np.empty(len(ts))
-    for i, (x, f, u, v) in enumerate(zip(d["x"], d["f"], d["u"], d["v"])):
-        g = run.chart.metric(x)
-        xdot = f @ u
-        V = f @ v
-        integrand[i] = np.sqrt(np.linalg.det(g)) * (xdot[0] * V[1] - xdot[1] * V[0])
+    xdot = (d["f"] @ d["u"][:, :, None])[:, :, 0]
+    V = (d["f"] @ d["v"][:, :, None])[:, :, 0]
+    rho = np.sqrt(np.linalg.det([run.chart.metric(x) for x in d["x"]]))
+    integrand = rho * (xdot[:, 0] * V[:, 1] - xdot[:, 1] * V[:, 0])
     from scipy.integrate import cumulative_trapezoid
 
     recon = ell[0] + cumulative_trapezoid(integrand, ts, initial=0.0)

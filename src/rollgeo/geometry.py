@@ -13,12 +13,20 @@ Index conventions, fixed once for the whole library:
   X = f_1, Y = f_2 the realized (1, 2) entry is +kappa; the sphere
   regression test pins this sign and the geodesic equations in
   :mod:`rollgeo.geodesics` are locked against it.
+
+:class:`SurfaceJet` is the surface kernel of the flows of surfaces: one
+metric jet and one curvature per point of a stack, the frame transport in
+closed form, and the curvature's rate along a velocity.  Those flows need
+neither ``christoffel`` nor, on a chart with an analytic ``kappa``,
+``gauss_curvature``; the curvature tensor serves higher dimensions, the
+independent checks and the tests' oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri
@@ -143,6 +151,67 @@ def gauss_curvature_tensor(chart: ChartMetric, x: Array) -> float:
         raise DimensionError("gauss_curvature requires a 2D chart")
     _, low = riemann(chart, x)
     return float(low[0, 1, 0, 1] / np.linalg.det(chart.metric(x)))
+
+
+def surface_kappa(charts: Sequence[ChartMetric], xs: Array) -> Array:
+    """Gaussian curvature at each point of a stack, ``charts[i]`` at ``xs[i]``."""
+    return np.fromiter([c.kappa(x) if c.kappa is not None else gauss_curvature(c, x)
+                        for c, x in zip(charts, xs)], float, len(xs))
+
+
+# adj g = _ADJ_SIGNS * g reversed along both axes, for 2-by-2 matrices.
+_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+class SurfaceJet:
+    """The surface kernel: metric jets of a stack of points on 2D charts.
+
+    Point ``xs[i]`` lies on ``charts[i]``.  Construction evaluates each
+    chart's ``metric_jet`` once per point and keeps dg, adj g and det g.
+    With ``curvature`` (the default) it also evaluates the Gaussian
+    curvature ``kappa`` once per point; a flow that only transports frames
+    passes False, and ``kappa`` is None.  The curvature's rate is evaluated
+    only by ``kappa_rate``.  Both take a chart's analytic ``kappa`` where it
+    has one, else ``gauss_curvature``.
+    """
+
+    __slots__ = ("charts", "xs", "dg", "adj", "det", "kappa")
+
+    def __init__(self, charts: Sequence[ChartMetric], xs: Array, curvature: bool = True):
+        m = len(xs)
+        g, dg, kappa = np.empty((m, 2, 2)), np.empty((m, 2, 2, 2)), np.empty(m)
+        for i, (c, x) in enumerate(zip(charts, xs)):
+            g[i], dg[i] = c.metric_jet(x)
+            if curvature:
+                kappa[i] = c.kappa(x) if c.kappa is not None else gauss_curvature(c, x)
+        self.charts, self.xs, self.dg = charts, xs, dg
+        self.kappa = kappa if curvature else None
+        self.adj = g[:, ::-1, ::-1] * _ADJ_SIGNS
+        self.det = (g[:, 0] * self.adj[:, 0]).sum(-1)
+
+    @property
+    def rho(self) -> Array:
+        """The area density sqrt(det g) at each point."""
+        return np.sqrt(self.det)
+
+    def frame_rate(self, xdot: Array, f: Array) -> Array:
+        """fdot = -g^-1 N f: frames ``f[i]`` parallel along ``xdot[i]``.
+
+        N = (D + B^T - B) / 2 is the Christoffel matrix Gamma(xdot) with its
+        upper index lowered: D = sum_i xdot^i d_i g and B[l, m] = sum_i
+        xdot^i d_l g_im.  With g^-1 = adj g / det g this is
+        adj g (B - B^T - D) f / (2 det g).
+        """
+        dg, m = self.dg, len(xdot)
+        B = (xdot[:, None, None, :] @ dg)[:, :, 0]
+        D = (xdot[:, None, :] @ dg.reshape(m, 2, 4)).reshape(m, 2, 2)
+        return (self.adj @ ((B - B.swapaxes(1, 2) - D) @ f)) / (2 * self.det)[:, None, None]
+
+    def kappa_rate(self, xdot: Array) -> Array:
+        """kappadot = d kappa . xdot at each point, by ``central_diff`` of the curvature."""
+        return np.array([
+            central_diff(c.kappa if c.kappa is not None else partial(gauss_curvature, c), x) @ v
+            for c, x, v in zip(self.charts, self.xs, xdot)])
 
 
 def sharp(chart: ChartMetric, x: Array, p: Array) -> Array:

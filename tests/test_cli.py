@@ -98,6 +98,15 @@ class TestRunErrors:
         assert "Traceback" not in result.output
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("samples", ["0", "1", "-5"])
+    def test_too_few_samples_is_validation_error(self, runner, tmp_path, samples):
+        result = _run(runner, "run", "sphere-on-plane-geodesic", "--T", "1",
+                      "--samples", samples, "--output-dir", str(tmp_path))
+        assert result.exit_code == 3
+        assert "'--samples'" in result.output
+        assert "Traceback" not in result.output
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("name, field, value, message", [
         ("sphere-on-plane-geodesic", "x", [1.5, 0.0, 0.0], "must have 2 entries"),
         ("sphere-on-plane-geodesic", "x", ["a", 0.0], "must be a list of numbers"),

@@ -1,10 +1,15 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import rollgeo.geodesics
+import rollgeo.geometry
+import rollgeo.rolling
 from rollgeo import charts
+from rollgeo.charts import central_diff
 from rollgeo.geodesics import (
     E2,
     PENDULUM_LAYOUT,
@@ -28,9 +33,10 @@ from rollgeo.geodesics import (
     vec_to_skew,
     vtilde_symmetry_check,
 )
-from rollgeo.geometry import (christoffel, curvature_form_from_lowered,
-                              orthonormal_frame_at, riemann)
-from rollgeo.rolling import aligned_configuration, develop_layout
+from rollgeo.geometry import (SurfaceJet, christoffel, curvature_form_from_lowered,
+                              gauss_curvature, orthonormal_frame_at, riemann)
+from rollgeo.rolling import (aligned_configuration, develop, develop_layout,
+                             noslip_notwist_residual)
 from rollgeo.submersion import canonical_layout, force_layout
 from rollgeo.suites import _geodesic_initial, scenario_by_name
 
@@ -114,12 +120,13 @@ def _bumpy_chart():
         label="bumpy")
 
 
-def _conformal_chart(c):
-    """The non-flat 3D metric (1 + c |x|^2) I, with its analytic dg."""
-    eye = np.eye(3)
+def _conformal_chart(c, n=3):
+    """The non-flat metric (1 + c |x|^2) I on R^n, with its analytic dg and no kappa."""
+    eye = np.eye(n)
     return charts.ChartMetric(
-        dim=3, g=lambda x: (1.0 + c * (x @ x)) * eye,
-        dg=lambda x: 2.0 * c * x[:, None, None] * eye, label=f"conformal({c:g})")
+        dim=n, g=lambda x: (1.0 + c * (x @ x)) * eye,
+        dg=lambda x: 2.0 * c * x[:, None, None] * eye,
+        label=f"conformal({c:g})" if n == 3 else f"conformal{n}({c:g})")
 
 
 _SURFACES = ["euclidean(2)", "sphere(1)", "hyperbolic-disk(1)", "paraboloid(1)",
@@ -160,7 +167,26 @@ def _reference_rhs(chart, chart_hat, z):
 
 
 _TEST_CHARTS = {c.label: c for c in (_bumpy_chart(), _conformal_chart(0.3),
-                                     _conformal_chart(-0.1))}
+                                     _conformal_chart(-0.1), _conformal_chart(0.3, 2))}
+
+
+def _charts_named(names):
+    return tuple(_TEST_CHARTS[name] if name in _TEST_CHARTS
+                 else charts.chart_by_name(name) for name in names)
+
+
+def _random_point(chart, rng):
+    """A point well inside the chart: near the origin, or the equator of a sphere."""
+    x = rng.uniform(-0.4, 0.4, chart.dim)
+    if chart.label.startswith("sphere"):
+        x[0] += np.pi / 2
+    assert chart.margin(x) > 0
+    return x
+
+
+def _close(got, want):
+    """The relative agreement of ``TestRightHandSide``."""
+    return np.abs(got - want).max() < 1e-7 * (1.0 + np.abs(want).max())
 
 
 class TestRightHandSide:
@@ -175,20 +201,14 @@ class TestRightHandSide:
         ("conformal(0.3)", "conformal(-0.1)"),
     ]
 
-    @staticmethod
-    def _charts(names):
-        return tuple(_TEST_CHARTS[name] if name in _TEST_CHARTS
-                     else charts.chart_by_name(name) for name in names)
+    _charts = staticmethod(_charts_named)
 
     @staticmethod
     def _random_state(chart, chart_hat, rng):
         n = chart.dim
         parts = {}
         for side, c in (("", chart), ("hat", chart_hat)):
-            x = rng.uniform(-0.4, 0.4, n)
-            if c.label.startswith("sphere"):
-                x[0] += np.pi / 2
-            assert c.margin(x) > 0
+            x = _random_point(c, rng)
             parts["x" + side] = x
             parts["f" + side] = _random_frame(c, x, rng)
         lam = rng.normal(size=(n, n))
@@ -201,9 +221,8 @@ class TestRightHandSide:
         rng = np.random.default_rng(7)
         for _ in range(3):
             z = self._random_state(chart, chart_hat, rng)
-            got = geodesic_rhs(chart, chart_hat, 0.0, z)
-            want = _reference_rhs(chart, chart_hat, z)
-            assert np.abs(got - want).max() < 1e-7 * (1.0 + np.abs(want).max())
+            assert _close(geodesic_rhs(chart, chart_hat, 0.0, z),
+                          _reference_rhs(chart, chart_hat, z))
 
     @pytest.mark.parametrize("names", STACK_CASES, ids=["-on-".join(c) for c in STACK_CASES])
     def test_stack_rows_are_the_single_states(self, names):
@@ -216,6 +235,213 @@ class TestRightHandSide:
         assert np.array_equal(geodesic_rhs(chart, chart_hat, 0.0, zs.ravel()), stacked.ravel())
         for z, row in zip(zs, stacked):
             assert np.array_equal(geodesic_rhs(chart, chart_hat, 0.0, z), row)
+
+
+# The 2D charts of the surface-kernel oracles: the catalog's six, plus one
+# with neither dg nor kappa and one with dg but no kappa.
+_KERNEL_SURFACES = _SURFACES + ["bumpy", "conformal2(0.3)"]
+_KERNEL_PAIRS = list(itertools.product(_KERNEL_SURFACES, repeat=2))
+_PAIR_IDS = ["-on-".join(p) for p in _KERNEL_PAIRS]
+
+
+def _tensor_frame_rate(chart, x, xdot, f):
+    """fdot = -Gamma(xdot) f from the Christoffel symbols."""
+    return -np.einsum("kil,i,la->ka", christoffel(chart, x), xdot, f)
+
+
+def _tensor_kappa_rate(chart, x, xdot):
+    return float(central_diff(lambda p: gauss_curvature(chart, p), x) @ xdot)
+
+
+def _reference_pendulum_rhs(chart, chart_hat, a, z):
+    """The reduced system of the module docstring, from Christoffel symbols and
+    finite differences of ``gauss_curvature``."""
+    d = PENDULUM_LAYOUT.split(z)
+    x, xhat, f, fhat = d["x"], d["xhat"], d["f"], d["fhat"]
+    theta, L, b1, b2 = d["theta"], d["L"], d["b1"], d["b2"]
+    kap, kaphat = gauss_curvature(chart, x), gauss_curvature(chart_hat, xhat)
+    gap = kap - kaphat
+    c, s = np.cos(theta), np.sin(theta)
+    u = a * np.array([c, s])
+    xdot, xhatdot = f @ u, fhat @ u
+    thetadot = L * gap
+    kapdot = _tensor_kappa_rate(chart, x, xdot)
+    kaphatdot = _tensor_kappa_rate(chart_hat, xhat, xhatdot)
+    rho = 1.0 / gap if abs(gap) >= rollgeo.geodesics.RHO_FLOOR else 0.0
+    w = rho * rho * (kap * kaphatdot - kapdot * kaphat)
+    return PENDULUM_LAYOUT.pack(
+        x=xdot, xhat=xhatdot, f=_tensor_frame_rate(chart, x, xdot, f),
+        fhat=_tensor_frame_rate(chart_hat, xhat, xhatdot, fhat), theta=thetadot,
+        L=a * b2, b1=thetadot * b2, b2=a * L * kaphat - thetadot * b1, C=c * w, S=s * w)
+
+
+def _reference_develop_rhs(chart, chart_hat, curve, curve_dot, z):
+    """Rolling along the curve without slip or twist, from Christoffel symbols."""
+    d = develop_layout(2).split(z)
+    f, fhat = d["f"], d["fhat"]
+    x, xdot = curve(d["clock"]), curve_dot(d["clock"])
+    xhatdot = fhat @ np.linalg.solve(f, xdot)
+    return develop_layout(2).pack(
+        xhat=xhatdot, f=_tensor_frame_rate(chart, x, xdot, f),
+        fhat=_tensor_frame_rate(chart_hat, d["xhat"], xhatdot, fhat), clock=1.0)
+
+
+def _reference_flat_target_rhs(chart, lam0, v0, z):
+    """Form "a" of ``rn_rolling_flow``: the running charge lam0 + w v0^T - v0 w^T
+    paired with the curvature forms of the curvature tensor."""
+    d = rn_layout(2).split(z)
+    x, f, u, w = d["x"], d["f"], d["u"], d["w"]
+    xdot = f @ u
+    _, low = riemann(chart, x)
+    lam = lam0 + np.outer(w, v0) - np.outer(v0, w)
+    udot = [pair(lam, curvature_form_from_lowered(low, f, xdot, f[:, j])) for j in range(2)]
+    return rn_layout(2).pack(x=xdot, f=_tensor_frame_rate(chart, x, xdot, f),
+                             u=np.array(udot), w=u)
+
+
+class _Captured(Exception):
+    pass
+
+
+def _captured_rhs(monkeypatch, module, start):
+    """The right-hand side that ``start()`` hands to ``module.integrate``."""
+    seen = {}
+
+    def capture(rhs, *args, **kwargs):
+        seen["rhs"] = rhs
+        raise _Captured
+
+    monkeypatch.setattr(module, "integrate", capture)
+    with pytest.raises(_Captured):
+        start()
+    return seen["rhs"]
+
+
+class TestSurfaceKernel:
+    """``SurfaceJet`` and the flows built on it against the tensor route."""
+
+    @pytest.mark.parametrize("names", _KERNEL_PAIRS, ids=_PAIR_IDS)
+    def test_kernel_matches_tensor_route(self, names):
+        surfaces = _charts_named(names)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            xs = np.array([_random_point(c, rng) for c in surfaces])
+            fs = np.array([_random_frame(c, x, rng) for c, x in zip(surfaces, xs)])
+            xdot = rng.normal(size=(2, 2))
+            jet = SurfaceJet(surfaces, xs)
+            fdot, kappa, kappa_rate = jet.frame_rate(xdot, fs), jet.kappa, jet.kappa_rate(xdot)
+            for i, c in enumerate(surfaces):
+                assert _close(fdot[i], _tensor_frame_rate(c, xs[i], xdot[i], fs[i]))
+                assert _close(kappa[i], gauss_curvature(c, xs[i]))
+                assert _close(kappa_rate[i], _tensor_kappa_rate(c, xs[i], xdot[i]))
+                assert jet.rho[i] == pytest.approx(np.sqrt(np.linalg.det(c.metric(xs[i]))),
+                                                   rel=1e-12)
+
+    @pytest.mark.parametrize("names", _KERNEL_PAIRS, ids=_PAIR_IDS)
+    def test_reduced_rhs_matches_tensor_route(self, names, monkeypatch):
+        chart, chart_hat = _charts_named(names)
+        rng = np.random.default_rng(5)
+        cfg = aligned_configuration(chart, chart_hat, _random_point(chart, rng),
+                                    _random_point(chart_hat, rng))
+        a = 1.3
+        rhs = _captured_rhs(monkeypatch, rollgeo.geodesics, lambda: reduce_2d(
+            Pendulum2DState(cfg=cfg, theta=0.0, L=0.0, b1=0.0, b2=0.0, a=a), 1.0))
+        for _ in range(3):
+            x, xhat = _random_point(chart, rng), _random_point(chart_hat, rng)
+            theta, L, b1, b2, C, S = rng.normal(size=6)
+            z = PENDULUM_LAYOUT.pack(x=x, xhat=xhat, f=_random_frame(chart, x, rng),
+                                     fhat=_random_frame(chart_hat, xhat, rng), theta=theta,
+                                     L=L, b1=b1, b2=b2, C=C, S=S)
+            assert _close(rhs(0.0, z), _reference_pendulum_rhs(chart, chart_hat, a, z))
+
+    @pytest.mark.parametrize("names", _KERNEL_PAIRS, ids=_PAIR_IDS)
+    def test_develop_rhs_matches_tensor_route(self, names, monkeypatch):
+        chart, chart_hat = _charts_named(names)
+        rng = np.random.default_rng(9)
+        x0, direction = _random_point(chart, rng), rng.normal(size=2) * 0.3
+        cfg = aligned_configuration(chart, chart_hat, x0, _random_point(chart_hat, rng))
+
+        def curve(t):
+            return x0 + t * direction
+
+        def curve_dot(t):
+            return direction
+
+        rhs = _captured_rhs(monkeypatch, rollgeo.rolling,
+                            lambda: develop(cfg, curve, curve_dot, 1.0))
+        for _ in range(3):
+            clock = rng.uniform(0.0, 0.3)
+            xhat = _random_point(chart_hat, rng)
+            z = develop_layout(2).pack(
+                xhat=xhat, f=_random_frame(chart, curve(clock), rng),
+                fhat=_random_frame(chart_hat, xhat, rng), clock=clock)
+            assert _close(rhs(0.0, z),
+                          _reference_develop_rhs(chart, chart_hat, curve, curve_dot, z))
+
+    @pytest.mark.parametrize("name", _KERNEL_SURFACES)
+    def test_flat_target_rhs_matches_tensor_route(self, name, monkeypatch):
+        (chart,) = _charts_named([name])
+        rng = np.random.default_rng(13)
+        x0 = _random_point(chart, rng)
+        v0, lam0 = rng.normal(size=2), 0.7 * E2
+        f0 = orthonormal_frame_at(chart, x0).f
+        rhs = _captured_rhs(monkeypatch, rollgeo.geodesics, lambda: rn_rolling_flow(
+            chart, x0, f0, np.array([0.6, 0.8]), v0, lam0, 1.0, form="a"))
+        for _ in range(3):
+            x = _random_point(chart, rng)
+            z = rn_layout(2).pack(x=x, f=_random_frame(chart, x, rng), u=rng.normal(size=2),
+                                  w=rng.normal(size=2))
+            assert _close(rhs(0.0, z), _reference_flat_target_rhs(chart, lam0, v0, z))
+
+
+class TestRoutes:
+    """Which flows reach the Christoffel symbols and the curvature function."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        counts = {}
+        for name in ("christoffel", "gauss_curvature"):
+            original = getattr(rollgeo.geometry, name)
+            counts[name] = 0
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            # every module that imported the name calls it through its own binding
+            for modname, mod in list(sys.modules.items()):
+                if modname.startswith("rollgeo") and getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted)
+        return counts
+
+    @staticmethod
+    def _flat_target(form):
+        cfg = aligned_configuration(SPHERE, PLANE, np.array([1.4, 0.0]), np.zeros(2))
+        return rn_rolling_flow(SPHERE, cfg.x, cfg.f, np.array([0.8, 0.6]),
+                               np.array([0.2, -0.1]), 0.3 * E2, 0.5, form=form)
+
+    @staticmethod
+    def _develop():
+        cfg = aligned_configuration(SPHERE, PLANE, np.array([1.4, 0.0]), np.zeros(2))
+        d = np.array([0.3, 0.4])
+        return develop(cfg, lambda t: cfg.x + t * d, lambda t: d, 0.5)
+
+    def test_surface_flows_take_the_kernel(self, calls):
+        reduce_2d(_sphere_on_plane_state(), 0.5)
+        self._develop()
+        self._flat_target("a")
+        assert calls == {"christoffel": 0, "gauss_curvature": 0}
+
+    def test_independent_checks_stay_on_the_tensors(self, calls):
+        # criterion 5 compares form "b" with form "a"; criterion 7's twist
+        # is measured through the Christoffel symbols
+        self._flat_target("b")
+        assert calls["christoffel"] > 0
+        calls["christoffel"] = 0
+        path = self._develop()
+        assert calls["christoffel"] == 0
+        noslip_notwist_residual(path)
+        assert calls["christoffel"] > 0
 
 
 class TestFullFlow:
