@@ -36,22 +36,24 @@ D = sum_i X^i d_i g and B[l, m] = sum_i X^i d_l g_im are the metric
 derivative contracted with X = xdot (N is the Christoffel matrix
 Gamma(X) with its upper index lowered), and g^-1 = adj g / det g.  That is
 one metric evaluation, one metric derivative and one curvature per surface,
-all from one :class:`~rollgeo.geometry.SurfaceJet`.
+all from one :class:`~rollgeo.geometry.MetricJet`.
 The surface system takes a stack of states, one per row, and evaluates
 everything but the charts' own functions once for the whole stack; a
-single state is a stack of one.  Other dimensions go through the
-curvature tensor, one state at a time.
+single state is a stack of one.
 
-The reduced system takes the same kernel on the 2-point stack (x, xhat):
-u = a (cos theta, sin theta), the frames move as above, and its memory
-channels need kappadot = d kappa . xdot, one central difference of the
-curvature per surface.  Form "a" of the flat-target flow is the closed
-form with the running scalar charge ell + w_0 v_1 - w_1 v_0.  Three paths
-stay on the curvature tensor on purpose, so that the checks compare
-independent code: form "b"'s contraction of the Riemann tensor (with its
-Christoffel transport), the slip and twist residual of
-:func:`rollgeo.rolling.noslip_notwist_residual`, and every dimension
-above 2.
+Every flow here and :func:`rollgeo.rolling.develop` move their frames by
+that one transport, in every dimension.  Above two dimensions the charge
+is a full skew matrix: the curvature forms come from the curvature tensor,
+one state at a time.  The reduced system takes the kernel on the 2-point
+stack (x, xhat): u = a (cos theta, sin theta), and its memory channels
+need kappadot = d kappa . xdot, one central difference of the curvature
+per surface.  Form "a" of the flat-target flow pairs the running charge
+lam0 + w v0^T - v0 w^T with the curvature forms, on surfaces in the closed
+form with the scalar ell + w_0 v_1 - w_1 v_0.  Two paths stay on the
+Christoffel symbols on purpose, so that the checks compare independent
+code: form "b" (its transport and its contraction of the Riemann tensor)
+and the slip and twist residual of
+:func:`rollgeo.rolling.noslip_notwist_residual`.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ import numpy as np
 
 from .charts import Array, ChartMetric
 from .errors import DimensionError
-from .geometry import (SurfaceJet, christoffel, curvature_form_from_lowered, riemann,
+from .geometry import (MetricJet, christoffel, curvature_form_from_lowered, riemann,
                        surface_kappa)
 from .integrate import (DEFAULT_TOL, DENSE_MAX_STEP, DERIV_STEP, Skew, StateLayout,
                         Trajectory, integrate)
@@ -179,7 +181,7 @@ def curvature_forms_along(chart: ChartMetric, x: Array, f: Array, X: Array) -> l
     """
     n = chart.dim
     if n == 2:
-        jet = SurfaceJet((chart,), [x])
+        jet = MetricJet((chart,), [x])
         k = jet.kappa[0] * jet.rho[0]
         return [k * (X[0] * f[1, j] - X[1] * f[0, j]) * E2 for j in range(2)]
     _, low = riemann(chart, x)
@@ -249,8 +251,8 @@ def geodesic_rhs(chart: ChartMetric, chart_hat: ChartMetric, t: float, z: Array)
 
     xdot = f @ u
     xhatdot = fhat @ u
-    fdot = -gamma_contract(christoffel(chart, x), xdot) @ f
-    fhatdot = -gamma_contract(christoffel(chart_hat, xhat), xhatdot) @ fhat
+    jet = MetricJet((chart, chart_hat), (x, xhat), curvature=False)
+    fdot, fhatdot = jet.frame_rate(np.array([xdot, xhatdot]), np.array([f, fhat]))
 
     om = curvature_forms_along(chart, x, f, xdot)
     omhat = curvature_forms_along(chart_hat, xhat, fhat, xhatdot)
@@ -279,14 +281,14 @@ def _frame_det(f: Array) -> Array:
 def _surface_rhs(chart: ChartMetric, chart_hat: ChartMetric, z: Array) -> Array:
     """``geodesic_rhs`` for surfaces, in the closed form of the module docstring.
 
-    The m states of the stack give 2m points of one :class:`SurfaceJet`,
+    The m states of the stack give 2m points of one :class:`MetricJet`,
     ``chart`` at the even rows and ``chart_hat`` at the odd ones.
     """
     zs = z.reshape(-1, _SIZE)
     m = len(zs)
     xs, fs = zs[:, _POINTS].reshape(2 * m, 2), zs[:, _FRAMES].reshape(2 * m, 2, 2)
     u, v, L = zs[:, _SLOTS["u"]], zs[:, _SLOTS["v"]], zs[:, _L:_L + 1]
-    jet = SurfaceJet((chart, chart_hat) * m, xs)
+    jet = MetricJet((chart, chart_hat) * m, xs)
     xdot = (fs.reshape(m, 2, 2, 2) @ u[:, None, :, None]).reshape(2 * m, 2)
     fdot = jet.frame_rate(xdot, fs)
     k = jet.kappa * jet.rho * _frame_det(fs)
@@ -453,7 +455,7 @@ def reduce_2d(
         theta, L, b1, b2 = z[_PEND_SCALARS]
         c, s = np.cos(theta), np.sin(theta)
         fs = z[_PEND_FRAMES].reshape(2, 2, 2)
-        jet = SurfaceJet(charts, z[_PEND_POINTS].reshape(2, 2))
+        jet = MetricJet(charts, z[_PEND_POINTS].reshape(2, 2))
         xdot = fs @ (a * np.array([c, s]))  # rows: xdot = f u, xhatdot = fhat u
         kap, kaphat = jet.kappa
         kapdot, kaphatdot = jet.kappa_rate(xdot)
@@ -561,7 +563,7 @@ def rn_rolling_flow(
     tol: float = DEFAULT_TOL,
     form: str = "a",
 ) -> Trajectory:
-    """Geodesic rolling of a surface on flat space, in two formulations.
+    """Geodesic rolling of a manifold on flat space, in two formulations.
 
     Both exploit that v is constant in frame coordinates when the second
     factor is flat.  Form "a" carries the running charge through the
@@ -575,10 +577,11 @@ def rn_rolling_flow(
 
         udot_j = <lam0, Om(f u, f_j)> + g(R(f u, f_j) f v0, f (y - y0)),
 
-    integrated as an independent code path: form "a" on a surface takes
-    the surface kernel and the scalar charge, and form "b" always takes the
-    Christoffel symbols and the Riemann tensor.  State layout for both:
-    ``rn_layout``, ``[x, f, u, w]``, with the w slot holding y in form "b".
+    integrated as an independent code path: form "a" moves its frame with
+    the kernel :class:`~rollgeo.geometry.MetricJet` (and on a surface
+    carries the scalar charge), and form "b" takes the Christoffel symbols
+    and the Riemann tensor.  State layout for both: ``rn_layout``,
+    ``[x, f, u, w]``, with the w slot holding y in form "b".
     """
     n = chart.dim
     layout = rn_layout(n)
@@ -588,50 +591,44 @@ def rn_rolling_flow(
 
     if form not in ("a", "b"):
         raise ValueError("form must be 'a' or 'b'")
-    if form == "a" and n == 2:
-        # lam = ell E2 with ell = lam0_01 + w_0 v0_1 - w_1 v0_0, in the closed
-        # form of the module docstring: udot = ell k (-u_1, u_0), k = kappa rho det f.
-        ell0, (v00, v01) = lam0[0, 1], v0
+    if form == "a":
         x_slot, f_slot, u_slot, w_slot = (layout.slices[name] for name in "xfuw")
+        if n == 2:
+            # lam = ell E2 with ell = lam0_01 + w_0 v0_1 - w_1 v0_0, in the closed
+            # form of the module docstring: udot = ell k (-u_1, u_0), k = kappa rho det f.
+            ell0, (v00, v01) = lam0[0, 1], v0
+
+            def force(jet, f, u, w):
+                ell = ell0 + w[0] * v01 - w[1] * v00
+                return ell * jet.kappa[0] * jet.rho[0] * _frame_det(f) * (u @ E2)
+        else:
+            def force(jet, f, u, w):
+                lam = lam0 + np.outer(w, v0) - np.outer(v0, w)
+                om = curvature_forms_along(chart, jet.xs[0], f, f @ u)
+                return np.array([pair(lam, om[j]) for j in range(n)])
 
         def rhs(t, z):
-            f, u, w = z[f_slot].reshape(1, 2, 2), z[u_slot], z[w_slot]
-            jet = SurfaceJet((chart,), [z[x_slot]])
+            f, u, w = z[f_slot].reshape(1, n, n), z[u_slot], z[w_slot]
+            jet = MetricJet((chart,), [z[x_slot]], curvature=n == 2)
             xdot = f @ u
-            ell = ell0 + w[0] * v01 - w[1] * v00
             out = np.empty(layout.size)
             out[x_slot] = xdot[0]
             out[f_slot] = jet.frame_rate(xdot, f).ravel()
-            out[u_slot] = ell * jet.kappa[0] * jet.rho[0] * _frame_det(f[0]) * (u @ E2)
+            out[u_slot] = force(jet, f[0], u, w)
             out[w_slot] = u
             return out
     else:
-        if form == "a":
-            def force(x, f, u, w):
-                xdot = f @ u
-                lam = lam0 + np.outer(w, v0) - np.outer(v0, w)
-                om = curvature_forms_along(chart, x, f, xdot)
-                return np.array([pair(lam, om[j]) for j in range(n)])
-        else:
-            def force(x, f, u, y):
-                xdot = f @ u
-                om = curvature_forms_along(chart, x, f, xdot)
-                base = np.array([pair(lam0, om[j]) for j in range(n)])
-                _, low = riemann(chart, x)
-                fv = f @ v0
-                fy = f @ y
-                corr = np.array([
-                    np.einsum("ijkl,i,j,k,l->", low, xdot, f[:, j], fy, fv)
-                    for j in range(n)
-                ])
-                return base + corr
-
         def rhs(t, z):
             d = layout.split(z)
-            x, f, u = d["x"], d["f"], d["u"]
+            x, f, u, y = d["x"], d["f"], d["u"], d["w"]
             xdot = f @ u
             fdot = -gamma_contract(christoffel(chart, x), xdot) @ f
-            return layout.pack(x=xdot, f=fdot, u=force(x, f, u, d["w"]), w=u)
+            om = curvature_forms_along(chart, x, f, xdot)
+            _, low = riemann(chart, x)
+            fv, fy = f @ v0, f @ y
+            udot = [pair(lam0, om[j]) + np.einsum("ijkl,i,j,k,l->", low, xdot, f[:, j], fy, fv)
+                    for j in range(n)]
+            return layout.pack(x=xdot, f=fdot, u=np.array(udot), w=u)
 
     def margin(z):
         return chart.margin(layout.split(z)["x"])

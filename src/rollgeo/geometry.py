@@ -14,11 +14,13 @@ Index conventions, fixed once for the whole library:
   regression test pins this sign and the geodesic equations in
   :mod:`rollgeo.geodesics` are locked against it.
 
-:class:`SurfaceJet` is the surface kernel of the flows of surfaces: one
-metric jet and one curvature per point of a stack, the frame transport in
-closed form, and the curvature's rate along a velocity.  Those flows need
-neither ``christoffel`` nor, on a chart with an analytic ``kappa``,
-``gauss_curvature``; the curvature tensor serves higher dimensions, the
+:class:`MetricJet` is the kernel of the rolling flows in every dimension:
+one metric jet per point of a stack and the parallel frame transport from
+adj g / det g, plus, on surfaces, one curvature per point and its rate
+along a velocity.  Those flows transport their frames without
+``christoffel``, and on a chart with an analytic ``kappa`` the surface
+flows need no ``gauss_curvature``.  Above two dimensions the curvature
+forms still come from the curvature tensor, which also serves the
 independent checks and the tests' oracles.
 """
 
@@ -159,39 +161,57 @@ def surface_kappa(charts: Sequence[ChartMetric], xs: Array) -> Array:
                         for c, x in zip(charts, xs)], float, len(xs))
 
 
-# adj g = _ADJ_SIGNS * g reversed along both axes, for 2-by-2 matrices.
+# adj a is the transpose of _ADJ_SIGNS * a reversed along both axes, for 2-by-2 matrices.
 _ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
-class SurfaceJet:
-    """The surface kernel: metric jets of a stack of points on 2D charts.
+def adjugate(a: Array) -> tuple[Array, Array]:
+    """``(adj a, det a)`` of a stack of square matrices, so that a^-1 = adj a / det a.
 
-    Point ``xs[i]`` lies on ``charts[i]``.  Construction evaluates each
-    chart's ``metric_jet`` once per point and keeps dg, adj g and det g.
-    With ``curvature`` (the default) it also evaluates the Gaussian
-    curvature ``kappa`` once per point; a flow that only transports frames
-    passes False, and ``kappa`` is None.  The curvature's rate is evaluated
-    only by ``kappa_rate``.  Both take a chart's analytic ``kappa`` where it
-    has one, else ``gauss_curvature``.
+    2-by-2 matrices take the closed form; larger ones det a times ``np.linalg.inv``.
+    """
+    if a.shape[-1] == 2:
+        adj_t = a[..., ::-1, ::-1] * _ADJ_SIGNS
+        return adj_t.swapaxes(-2, -1), (a[..., 0, :] * adj_t[..., 0, :]).sum(-1)
+    det = np.linalg.det(a)
+    return det[..., None, None] * np.linalg.inv(a), det
+
+
+class MetricJet:
+    """The kernel of the rolling flows: metric jets of a stack of chart points.
+
+    Point ``xs[i]`` lies on ``charts[i]``, and all charts have one dimension.
+    Construction evaluates each chart's ``metric_jet`` once per point and
+    keeps dg, adj g and det g.  On surfaces, with ``curvature`` (the
+    default), it also evaluates the Gaussian curvature ``kappa`` once per
+    point; a flow that only transports frames, or runs above two
+    dimensions, passes False, and ``kappa`` is None.  The curvature's rate
+    is evaluated only by ``kappa_rate``.  Both take a chart's analytic
+    ``kappa`` where it has one, else ``gauss_curvature``.
     """
 
     __slots__ = ("charts", "xs", "dg", "adj", "det", "kappa")
 
     def __init__(self, charts: Sequence[ChartMetric], xs: Array, curvature: bool = True):
-        m = len(xs)
-        g, dg, kappa = np.empty((m, 2, 2)), np.empty((m, 2, 2, 2)), np.empty(m)
+        m, n = len(xs), charts[0].dim
+        g, dg, kappa = np.empty((m, n, n)), np.empty((m, n, n, n)), np.empty(m)
         for i, (c, x) in enumerate(zip(charts, xs)):
             g[i], dg[i] = c.metric_jet(x)
             if curvature:
                 kappa[i] = c.kappa(x) if c.kappa is not None else gauss_curvature(c, x)
         self.charts, self.xs, self.dg = charts, xs, dg
         self.kappa = kappa if curvature else None
-        self.adj = g[:, ::-1, ::-1] * _ADJ_SIGNS
-        self.det = (g[:, 0] * self.adj[:, 0]).sum(-1)
+        # g is symmetric, so on surfaces adj g needs no transpose; kept inline
+        # because the surface flows build a jet in every right-hand side.
+        if n == 2:
+            self.adj = g[:, ::-1, ::-1] * _ADJ_SIGNS
+            self.det = (g[:, 0] * self.adj[:, 0]).sum(-1)
+        else:
+            self.adj, self.det = adjugate(g)
 
     @property
     def rho(self) -> Array:
-        """The area density sqrt(det g) at each point."""
+        """The volume density sqrt(det g) at each point."""
         return np.sqrt(self.det)
 
     def frame_rate(self, xdot: Array, f: Array) -> Array:
@@ -204,11 +224,11 @@ class SurfaceJet:
         """
         dg, m = self.dg, len(xdot)
         B = (xdot[:, None, None, :] @ dg)[:, :, 0]
-        D = (xdot[:, None, :] @ dg.reshape(m, 2, 4)).reshape(m, 2, 2)
+        D = (xdot[:, None, :] @ dg.reshape(m, dg.shape[1], -1)).reshape(B.shape)
         return (self.adj @ ((B - B.swapaxes(1, 2) - D) @ f)) / (2 * self.det)[:, None, None]
 
     def kappa_rate(self, xdot: Array) -> Array:
-        """kappadot = d kappa . xdot at each point, by ``central_diff`` of the curvature."""
+        """kappadot = d kappa . xdot at each surface point, by ``central_diff`` of the curvature."""
         return np.array([
             central_diff(c.kappa if c.kappa is not None else partial(gauss_curvature, c), x) @ v
             for c, x, v in zip(self.charts, self.xs, xdot)])

@@ -21,7 +21,8 @@ from .charts import Array, ChartMetric
 from .errors import DimensionError, FrameError
 from .geometry import (
     FramePoint,
-    SurfaceJet,
+    MetricJet,
+    adjugate,
     cholesky_frame,
     cholesky_frame_jet,
     christoffel,
@@ -184,49 +185,35 @@ def develop(
 
     Both frames are kept parallel along their contact curves and the
     second contact point follows the isometry image of the base velocity;
-    this is the unique admissible motion over the given curve.  Frames are
-    re-orthonormalized between integration chunks; chart exit on either
-    surface truncates the run.
+    this is the unique admissible motion over the given curve.  In every
+    dimension one :class:`~rollgeo.geometry.MetricJet` on (x, xhat) moves
+    both frames, and xhatdot = fhat f^-1 xdot with f^-1 = adj f / det f.
+    Frames are re-orthonormalized between integration chunks; chart exit on
+    either surface truncates the run.
     """
     chart, chart_hat = cfg0.chart, cfg0.chart_hat
-    layout = develop_layout(chart.dim)
+    charts, n = (chart, chart_hat), chart.dim
+    layout = develop_layout(n)
     if np.abs(np.asarray(curve(0.0), float) - cfg0.x).max() > 1e-9:
         raise ValueError("curve(0) does not match the starting configuration")
     chart.validate(cfg0.x)
     chart_hat.validate(cfg0.xhat)
 
-    if chart.dim == 2:
-        # Surfaces: both frames from one SurfaceJet, and f^-1 = adj f / det f.
-        charts = (chart, chart_hat)
-        xhat_slot, clock_slot = layout.slices["xhat"], layout.slices["clock"].start
-        frame_slots = slice(layout.slices["f"].start, layout.slices["fhat"].stop)
+    xhat_slot, clock_slot = layout.slices["xhat"], layout.slices["clock"].start
+    frame_slots = slice(layout.slices["f"].start, layout.slices["fhat"].stop)
 
-        def rhs(t, z):
-            fs = z[frame_slots].reshape(2, 2, 2)
-            (f00, f01), (f10, f11) = fs[0]
-            x = np.asarray(curve(z[clock_slot]), float)
-            xdot = np.asarray(curve_dot(z[clock_slot]), float)
-            finv_xdot = np.array([f11 * xdot[0] - f01 * xdot[1],
-                                  f00 * xdot[1] - f10 * xdot[0]]) / (f00 * f11 - f01 * f10)
-            xdots = np.array([xdot, fs[1] @ finv_xdot])
-            jet = SurfaceJet(charts, np.array([x, z[xhat_slot]]), curvature=False)
-            out = np.empty(layout.size)
-            out[xhat_slot] = xdots[1]
-            out[frame_slots] = jet.frame_rate(xdots, fs).ravel()
-            out[clock_slot] = 1.0
-            return out
-    else:
-        def rhs(t, z):
-            d = layout.split(z)
-            f, fhat, clock = d["f"], d["fhat"], d["clock"]
-            x = np.asarray(curve(clock), float)
-            xdot = np.asarray(curve_dot(clock), float)
-            gam = christoffel(chart, x)
-            fdot = -gamma_contract(gam, xdot) @ f
-            xhatdot = fhat @ np.linalg.solve(f, xdot)
-            gamhat = christoffel(chart_hat, d["xhat"])
-            fhatdot = -gamma_contract(gamhat, xhatdot) @ fhat
-            return layout.pack(xhat=xhatdot, f=fdot, fhat=fhatdot, clock=1.0)
+    def rhs(t, z):
+        fs = z[frame_slots].reshape(2, n, n)
+        x = np.asarray(curve(z[clock_slot]), float)
+        xdot = np.asarray(curve_dot(z[clock_slot]), float)
+        adj, det = adjugate(fs[0])
+        xdots = np.array([xdot, fs[1] @ ((adj * xdot).sum(-1) / det)])
+        jet = MetricJet(charts, np.array([x, z[xhat_slot]]), curvature=False)
+        out = np.empty(layout.size)
+        out[xhat_slot] = xdots[1]
+        out[frame_slots] = jet.frame_rate(xdots, fs).ravel()
+        out[clock_slot] = 1.0
+        return out
 
     def margin(z):
         d = layout.split(z)

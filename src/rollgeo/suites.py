@@ -272,6 +272,9 @@ def _check_vector(key: str, value, size: int) -> None:
         raise ScenarioError(f"field {key!r} must have {size} entries, got {len(value)}")
 
 
+# The kinds that roll surfaces only: their charge is the scalar L of lam = L E2.
+_SURFACE_KINDS = ("geodesic", "pendulum-2d", "bvp")
+
 _SCALARS = ("ell", "theta", "L", "b1", "b2", "a", "perturbation")
 
 
@@ -376,6 +379,9 @@ def validate_scenario(scenario: dict) -> dict:
     if len(set(dims.values())) > 1:
         raise ScenarioError(f"fields 'chart' and 'chart_hat' must have the same dimension, "
                             f"got {dims['chart']} and {dims['chart_hat']}")
+    if kind in _SURFACE_KINDS and dims["chart"] != 2:
+        raise ScenarioError(f"field 'chart': kind {kind!r} rolls surfaces and needs a 2D "
+                            f"chart, got dimension {dims['chart']}")
     for key in _REQUIRED[kind]:
         if key in _VECTORS:
             size = _VECTORS[key]
@@ -496,14 +502,10 @@ def _run_rn_roll(scenario: dict, samples: int):
     ell = float(scenario["ell"])
     T, tol = float(scenario["T"]), float(scenario["tol"])
     n = chart.dim
-    from .geometry import cholesky_frame
-
-    f0 = cholesky_frame(chart, x0)
+    cfg = aligned_configuration(chart, chart_catalog.euclidean(n), x0, np.zeros(n))
     lam0 = ell * E2 if n == 2 else np.zeros((n, n))
-    tra = rn_rolling_flow(chart, x0, f0, u0, v0, lam0, T, tol, form="a")
-    trb = rn_rolling_flow(chart, x0, f0, u0, v0, lam0, T, tol, form="b")
-    cfg = aligned_configuration(chart, chart_catalog.euclidean(n), x0,
-                                np.zeros(n))
+    tra = rn_rolling_flow(chart, x0, cfg.f, u0, v0, lam0, T, tol, form="a")
+    trb = rn_rolling_flow(chart, x0, cfg.f, u0, v0, lam0, T, tol, form="b")
     gen = integrate_geodesic(
         RollingGeodesicState(cfg=cfg, u=u0, v=v0, lam=lam0), T, tol)
     t1 = min(tra.t1, trb.t1, gen.t1)

@@ -1,8 +1,6 @@
-"""Parallel transport and geodesic flow on a single chart."""
+"""Christoffel contraction and geodesic flow on a single chart."""
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -17,51 +15,6 @@ def gamma_contract(gam: Array, v: Array) -> Array:
     Leading axes are a stack: ``gam[..., k, i, l]`` pairs with ``v[..., i]``.
     """
     return (v[..., None, None, :] @ gam)[..., 0, :]
-
-
-def parallel_transport(
-    chart: ChartMetric,
-    curve: Callable[[float], Array],
-    curve_dot: Callable[[float], Array],
-    v0: Array,
-    T: float,
-    tol: float = DEFAULT_TOL,
-) -> Trajectory:
-    """Transport ``v0`` along ``t -> curve(t)``: v'^k = -Gamma^k_ij x'^i v^j.
-
-    The trajectory state is ``[v, t]``: the transported vector's chart
-    components plus a clock slot, which lets the chart-exit margin watch the
-    base curve.  If the curve leaves the chart the result is truncated and
-    flagged.
-    """
-    def rhs(t, y):
-        gam = christoffel(chart, curve(t))
-        return np.append(-gamma_contract(gam, curve_dot(t)) @ y[:-1], 1.0)
-
-    def margin(y):
-        return chart.margin(curve(y[-1]))
-
-    return integrate(rhs, np.append(np.asarray(v0, dtype=float), 0.0), T, tol,
-                     margin=margin)
-
-
-def transport_frame(
-    chart: ChartMetric,
-    curve: Callable[[float], Array],
-    curve_dot: Callable[[float], Array],
-    f0: Array,
-    T: float,
-    tol: float = DEFAULT_TOL,
-) -> Trajectory:
-    """Transport a whole basis (columns of ``f0``) along the curve."""
-    n = chart.dim
-
-    def rhs(t, y):
-        f = y.reshape(n, n)
-        gam = christoffel(chart, curve(t))
-        return (-gamma_contract(gam, curve_dot(t)) @ f).ravel()
-
-    return integrate(rhs, np.asarray(f0, dtype=float).ravel(), T, tol)
 
 
 def geodesic_flow(

@@ -23,6 +23,10 @@ DELETE = object()
 MUTANTS = (DELETE, None, "z", "", True, -3, -1, 0, 1.5, [], [1], [1, 2], [[0.5, 0.5]],
            {}, {"x": 1})
 
+# The contact data of a scenario moved to flat 3-space.
+_SOLID = {"chart": "euclidean(3)", "chart_hat": "euclidean(3)", "x": [0.1, 0.2, 0.3],
+          "xhat": [0.0, 0.0, 0.0]}
+
 
 @pytest.fixture()
 def runner():
@@ -83,6 +87,18 @@ class TestRunErrors:
         result = _run(runner, "run", str(flat))
         assert result.exit_code == 3
         assert "bracket-generating" in result.output
+
+    @pytest.mark.parametrize("name, edit", [
+        ("sphere-great-circle-develop", {**_SOLID, "direction": [0.3, 0.4, 0.5]}),
+        ("paraboloid-magnetic-roll", {**_SOLID, "u": [0.6, 0.8, 0.0], "v": [0.1, 0.0, 0.2]}),
+    ])
+    def test_develop_and_rn_roll_take_any_dimension(self, runner, tmp_path, name, edit):
+        scenario = scenario_by_name(name)
+        scenario.update(edit, T=1.0)
+        path = tmp_path / "solid.json"
+        path.write_text(json.dumps(scenario))
+        result = _run(runner, "run", str(path), "--output-dir", str(tmp_path / "out"))
+        assert result.exit_code == 0, result.output
 
     @pytest.mark.parametrize("option, value, field", [
         ("--T", "0", "'T'"),
@@ -152,6 +168,11 @@ class TestRunErrors:
         ("sphere-on-plane-bvp", {"seed": -3}, "'seed'"),
         ("sphere-on-plane-bvp", {"seed": 1.5}, "'seed'"),
         ("sphere-on-plane-geodesic", {"name": "a/b"}, "'name'"),
+        # the scalar charge, the pendulum and the shooting parameters are 2D only
+        ("sphere-on-plane-geodesic", {**_SOLID, "u": [0.6, 0.8, 0.0], "v": [0.1, 0.0, 0.2]},
+         "'chart'"),
+        ("sphere-on-plane-pendulum", _SOLID, "'chart'"),
+        ("sphere-on-plane-bvp", _SOLID, "'chart'"),
     ])
     def test_malformed_field_is_validation_error(self, runner, tmp_path, name, edit,
                                                  field):

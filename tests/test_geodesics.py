@@ -33,7 +33,7 @@ from rollgeo.geodesics import (
     vec_to_skew,
     vtilde_symmetry_check,
 )
-from rollgeo.geometry import (SurfaceJet, christoffel, curvature_form_from_lowered,
+from rollgeo.geometry import (MetricJet, christoffel, curvature_form_from_lowered,
                               gauss_curvature, orthonormal_frame_at, riemann)
 from rollgeo.rolling import (aligned_configuration, develop, develop_layout,
                              noslip_notwist_residual)
@@ -243,6 +243,17 @@ _KERNEL_SURFACES = _SURFACES + ["bumpy", "conformal2(0.3)"]
 _KERNEL_PAIRS = list(itertools.product(_KERNEL_SURFACES, repeat=2))
 _PAIR_IDS = ["-on-".join(p) for p in _KERNEL_PAIRS]
 
+# A 3D pair for the flows that share the kernel's frame transport in every dimension.
+_SOLID_PAIR = ("conformal(0.3)", "conformal(-0.1)")
+
+
+def _skew(rng, n):
+    """A random skew n-by-n matrix; E2 itself on surfaces, where so(2) is one line."""
+    if n == 2:
+        return E2
+    a = rng.normal(size=(n, n))
+    return a - a.T
+
 
 def _tensor_frame_rate(chart, x, xdot, f):
     """fdot = -Gamma(xdot) f from the Christoffel symbols."""
@@ -277,11 +288,12 @@ def _reference_pendulum_rhs(chart, chart_hat, a, z):
 
 def _reference_develop_rhs(chart, chart_hat, curve, curve_dot, z):
     """Rolling along the curve without slip or twist, from Christoffel symbols."""
-    d = develop_layout(2).split(z)
+    layout = develop_layout(chart.dim)
+    d = layout.split(z)
     f, fhat = d["f"], d["fhat"]
     x, xdot = curve(d["clock"]), curve_dot(d["clock"])
     xhatdot = fhat @ np.linalg.solve(f, xdot)
-    return develop_layout(2).pack(
+    return layout.pack(
         xhat=xhatdot, f=_tensor_frame_rate(chart, x, xdot, f),
         fhat=_tensor_frame_rate(chart_hat, d["xhat"], xhatdot, fhat), clock=1.0)
 
@@ -289,13 +301,14 @@ def _reference_develop_rhs(chart, chart_hat, curve, curve_dot, z):
 def _reference_flat_target_rhs(chart, lam0, v0, z):
     """Form "a" of ``rn_rolling_flow``: the running charge lam0 + w v0^T - v0 w^T
     paired with the curvature forms of the curvature tensor."""
-    d = rn_layout(2).split(z)
+    n = chart.dim
+    d = rn_layout(n).split(z)
     x, f, u, w = d["x"], d["f"], d["u"], d["w"]
     xdot = f @ u
     _, low = riemann(chart, x)
     lam = lam0 + np.outer(w, v0) - np.outer(v0, w)
-    udot = [pair(lam, curvature_form_from_lowered(low, f, xdot, f[:, j])) for j in range(2)]
-    return rn_layout(2).pack(x=xdot, f=_tensor_frame_rate(chart, x, xdot, f),
+    udot = [pair(lam, curvature_form_from_lowered(low, f, xdot, f[:, j])) for j in range(n)]
+    return rn_layout(n).pack(x=xdot, f=_tensor_frame_rate(chart, x, xdot, f),
                              u=np.array(udot), w=u)
 
 
@@ -318,7 +331,7 @@ def _captured_rhs(monkeypatch, module, start):
 
 
 class TestSurfaceKernel:
-    """``SurfaceJet`` and the flows built on it against the tensor route."""
+    """``MetricJet`` and the flows built on it against the tensor route."""
 
     @pytest.mark.parametrize("names", _KERNEL_PAIRS, ids=_PAIR_IDS)
     def test_kernel_matches_tensor_route(self, names):
@@ -328,7 +341,7 @@ class TestSurfaceKernel:
             xs = np.array([_random_point(c, rng) for c in surfaces])
             fs = np.array([_random_frame(c, x, rng) for c, x in zip(surfaces, xs)])
             xdot = rng.normal(size=(2, 2))
-            jet = SurfaceJet(surfaces, xs)
+            jet = MetricJet(surfaces, xs)
             fdot, kappa, kappa_rate = jet.frame_rate(xdot, fs), jet.kappa, jet.kappa_rate(xdot)
             for i, c in enumerate(surfaces):
                 assert _close(fdot[i], _tensor_frame_rate(c, xs[i], xdot[i], fs[i]))
@@ -354,11 +367,12 @@ class TestSurfaceKernel:
                                      L=L, b1=b1, b2=b2, C=C, S=S)
             assert _close(rhs(0.0, z), _reference_pendulum_rhs(chart, chart_hat, a, z))
 
-    @pytest.mark.parametrize("names", _KERNEL_PAIRS, ids=_PAIR_IDS)
+    @pytest.mark.parametrize("names", _KERNEL_PAIRS + [_SOLID_PAIR],
+                             ids=_PAIR_IDS + ["-on-".join(_SOLID_PAIR)])
     def test_develop_rhs_matches_tensor_route(self, names, monkeypatch):
         chart, chart_hat = _charts_named(names)
         rng = np.random.default_rng(9)
-        x0, direction = _random_point(chart, rng), rng.normal(size=2) * 0.3
+        x0, direction = _random_point(chart, rng), rng.normal(size=chart.dim) * 0.3
         cfg = aligned_configuration(chart, chart_hat, x0, _random_point(chart_hat, rng))
 
         def curve(t):
@@ -372,25 +386,26 @@ class TestSurfaceKernel:
         for _ in range(3):
             clock = rng.uniform(0.0, 0.3)
             xhat = _random_point(chart_hat, rng)
-            z = develop_layout(2).pack(
+            z = develop_layout(chart.dim).pack(
                 xhat=xhat, f=_random_frame(chart, curve(clock), rng),
                 fhat=_random_frame(chart_hat, xhat, rng), clock=clock)
             assert _close(rhs(0.0, z),
                           _reference_develop_rhs(chart, chart_hat, curve, curve_dot, z))
 
-    @pytest.mark.parametrize("name", _KERNEL_SURFACES)
+    @pytest.mark.parametrize("name", _KERNEL_SURFACES + list(_SOLID_PAIR))
     def test_flat_target_rhs_matches_tensor_route(self, name, monkeypatch):
         (chart,) = _charts_named([name])
+        n = chart.dim
         rng = np.random.default_rng(13)
         x0 = _random_point(chart, rng)
-        v0, lam0 = rng.normal(size=2), 0.7 * E2
+        v0, lam0 = rng.normal(size=n), 0.7 * _skew(rng, n)
         f0 = orthonormal_frame_at(chart, x0).f
         rhs = _captured_rhs(monkeypatch, rollgeo.geodesics, lambda: rn_rolling_flow(
-            chart, x0, f0, np.array([0.6, 0.8]), v0, lam0, 1.0, form="a"))
+            chart, x0, f0, np.eye(n)[0], v0, lam0, 1.0, form="a"))
         for _ in range(3):
             x = _random_point(chart, rng)
-            z = rn_layout(2).pack(x=x, f=_random_frame(chart, x, rng), u=rng.normal(size=2),
-                                  w=rng.normal(size=2))
+            z = rn_layout(n).pack(x=x, f=_random_frame(chart, x, rng), u=rng.normal(size=n),
+                                  w=rng.normal(size=n))
             assert _close(rhs(0.0, z), _reference_flat_target_rhs(chart, lam0, v0, z))
 
 
@@ -431,6 +446,39 @@ class TestRoutes:
         self._develop()
         self._flat_target("a")
         assert calls == {"christoffel": 0, "gauss_curvature": 0}
+
+    @pytest.fixture()
+    def transport_calls(self, monkeypatch):
+        """Christoffel calls made by the flow modules themselves, for their frame transport.
+
+        Above two dimensions the curvature forms contract the Riemann tensor,
+        whose own Christoffel symbols ``rollgeo.geometry`` computes; those are
+        not counted here.
+        """
+        original, count = rollgeo.geometry.christoffel, [0]
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return original(*args, **kwargs)
+
+        for mod in (rollgeo.geodesics, rollgeo.rolling):
+            monkeypatch.setattr(mod, "christoffel", counted)
+        return count
+
+    def test_flows_in_three_dimensions_take_the_kernel(self, transport_calls):
+        chart, chart_hat = _charts_named(_SOLID_PAIR)
+        rng = np.random.default_rng(17)
+        cfg = aligned_configuration(chart, chart_hat, _random_point(chart, rng),
+                                    _random_point(chart_hat, rng))
+        d = 0.3 * rng.normal(size=3)
+        develop(cfg, lambda t: cfg.x + t * d, lambda t: d, 0.3)
+        u0, v0, lam0 = rng.normal(size=3), rng.normal(size=3), _skew(rng, 3)
+        rn_rolling_flow(chart, cfg.x, cfg.f, u0, v0, lam0, 0.3, form="a")
+        geodesic_rhs(chart, chart_hat, 0.0,
+                     TestRightHandSide._random_state(chart, chart_hat, rng))
+        assert transport_calls == [0]
+        rn_rolling_flow(chart, cfg.x, cfg.f, u0, v0, lam0, 0.3, form="b")
+        assert transport_calls[0] > 0
 
     def test_independent_checks_stay_on_the_tensors(self, calls):
         # criterion 5 compares form "b" with form "a"; criterion 7's twist

@@ -152,6 +152,16 @@ class TestDevelop:
         length = np.linalg.norm(pts[-1] - pts[0])
         assert length == pytest.approx(3.0, abs=1e-8)
 
+    def test_small_circle_holonomy(self):
+        # One loop around the colatitude-pi/3 circle turns a parallel frame
+        # by 2 pi (1 - cos pi/3) = pi (the classical closed form).
+        phi0 = np.pi / 3
+        cfg = _sphere_on_plane(x=(phi0, 0.0))
+        path = develop(cfg, lambda t: np.array([phi0, t]), lambda t: np.array([0.0, 1.0]),
+                       2 * np.pi)
+        turn = np.linalg.solve(cfg.f, path.configuration(2 * np.pi).f)
+        assert abs(abs(np.arctan2(turn[1, 0], turn[0, 0])) - np.pi) < 1e-7
+
     def test_residuals_small(self):
         cfg = _sphere_on_plane(x=(1.2, 0.0))
         curve = lambda t: np.array([1.2 + 0.3 * np.sin(t), 0.7 * t])

@@ -6,63 +6,11 @@ import pytest
 from rollgeo import charts
 from rollgeo import integrate as integrate_module
 from rollgeo.errors import SingularMetricError
-from rollgeo.geometry import orthonormal_frame_at
 from rollgeo.integrate import DERIV_STEP, integrate
-from rollgeo.transport import (
-    geodesic_flow,
-    geodesic_residual,
-    parallel_transport,
-    speed,
-    transport_frame,
-)
+from rollgeo.transport import geodesic_flow, geodesic_residual, speed
 
 SPHERE = charts.sphere(1.0)
 PLANE = charts.euclidean(2)
-
-
-class TestParallelTransport:
-    def test_flat_constant(self):
-        curve = lambda t: np.array([t, 2 * t])
-        dcurve = lambda t: np.array([1.0, 2.0])
-        tr = parallel_transport(PLANE, curve, dcurve, np.array([0.3, -1.0]), 2.0)
-        assert np.abs(tr.y[-1][:2] - [0.3, -1.0]).max() < 1e-12
-
-    def test_sphere_small_circle_holonomy(self):
-        # One loop around the colatitude-pi/3 circle rotates a transported
-        # vector by 2 pi (1 - cos pi/3) = pi (classical closed form; also
-        # recomputed below by composing many short geodesic transports).
-        phi0 = np.pi / 3
-        curve = lambda t: np.array([phi0, t])
-        dcurve = lambda t: np.array([0.0, 1.0])
-        v0 = np.array([0.0, 1.0 / np.sin(phi0)])  # unit vector along theta
-        tr = parallel_transport(SPHERE, curve, dcurve, v0, 2 * np.pi)
-        v1 = tr.y[-1][:2]
-        E = orthonormal_frame_at(SPHERE, curve(0.0)).f
-        c0 = np.linalg.solve(E, v0)
-        c1 = np.linalg.solve(E, v1)
-        ang = np.arctan2(c1[1] * c0[0] - c1[0] * c0[1], c0 @ c1)
-        assert abs(abs(ang) - np.pi) < 1e-7
-
-    def test_norm_preserved(self):
-        phi0 = 1.0
-        curve = lambda t: np.array([phi0 + 0.2 * np.sin(t), t])
-        dcurve = lambda t: np.array([0.2 * np.cos(t), 1.0])
-        v0 = np.array([0.7, 0.4])
-        tr = parallel_transport(SPHERE, curve, dcurve, v0, 3.0)
-        norms = [
-            speed(SPHERE, curve(t), y[:2]) for t, y in zip(tr.t, tr.y)
-        ]
-        assert max(norms) - min(norms) < 1e-9
-
-    def test_gram_matrix_preserved(self):
-        phi0 = 1.2
-        curve = lambda t: np.array([phi0, 0.8 * t])
-        dcurve = lambda t: np.array([0.0, 0.8])
-        f0 = orthonormal_frame_at(SPHERE, curve(0.0)).f
-        tr = transport_frame(SPHERE, curve, dcurve, f0, 1.0, tol=1e-9)
-        f1 = tr.y[-1].reshape(2, 2)
-        g1 = SPHERE.metric(curve(1.0))
-        assert np.abs(f1.T @ g1 @ f1 - np.eye(2)).max() < 1e-8
 
 
 class TestTrajectoryDerivative:
