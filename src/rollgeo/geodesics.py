@@ -22,9 +22,11 @@ that choice the 2D system reduces exactly to
 which is what ``reduce_2d`` integrates directly.
 
 For surfaces the charge lives in so(2): Lam = L E2 with one scalar L, and
-each curvature form is a multiple of E2, Om(f)(X, f_j) = c_j E2 with
-c_j = kappa rho (X_0 f_1j - X_1 f_0j), where rho = sqrt(det g) is the area
-density.  Along X = f u this is c = k (-u_1, u_0) with k = kappa rho det f
+the curvature tensor is R(X, Y)Z = kappa (g(Y, Z) X - g(X, Z) Y), so each
+curvature form is a multiple of E2, Om(f)(X, f_j) = c_j E2 with
+c_j = kappa det f det g (X_0 f_1j - X_1 f_0j) on any frame.  On an
+orthonormal frame det f det g = rho, where rho = sqrt(det g) is the area
+density, and along X = f u this is c = k (-u_1, u_0) with k = kappa rho det f
 (k = kappa on an exactly orthonormal frame).  Since <L E2, c E2> = L c,
 ``geodesic_rhs`` evaluates the surface system in closed form,
 
@@ -51,9 +53,11 @@ per surface.  Form "a" of the flat-target flow pairs the running charge
 lam0 + w v0^T - v0 w^T with the curvature forms, on surfaces in the closed
 form with the scalar ell + w_0 v_1 - w_1 v_0.  Two paths stay on the
 Christoffel symbols on purpose, so that the checks compare independent
-code: form "b" (its transport and its contraction of the Riemann tensor)
-and the slip and twist residual of
-:func:`rollgeo.rolling.noslip_notwist_residual`.
+code: the transport of form "b" and the slip and twist residual of
+:func:`rollgeo.rolling.noslip_notwist_residual`.  Form "b" pairs the
+charge with :func:`curvature_forms_along`, which on surfaces builds each
+form from the identity above with one metric and one ``gauss_curvature``
+and shares no code with the kernel.
 """
 
 from __future__ import annotations
@@ -66,8 +70,8 @@ import numpy as np
 
 from .charts import Array, ChartMetric
 from .errors import DimensionError
-from .geometry import (MetricJet, christoffel, curvature_form_from_lowered, riemann,
-                       surface_kappa)
+from .geometry import (MetricJet, christoffel, curvature_form_from_lowered, gauss_curvature,
+                       riemann, surface_kappa)
 from .integrate import (DEFAULT_TOL, DENSE_MAX_STEP, DERIV_STEP, Skew, StateLayout,
                         Trajectory, integrate)
 from .integrate import skew_to_vec, vec_to_skew  # noqa: F401 (re-exported)
@@ -172,20 +176,21 @@ class Pendulum2DState:
         return RollingGeodesicState(cfg=self.cfg, u=u, v=v, lam=self.L * E2)
 
 
-def curvature_forms_along(chart: ChartMetric, x: Array, f: Array, X: Array) -> list[Array]:
-    """The matrices Om(f)(X, f_j) for each frame index j.
+def curvature_forms_along(chart: ChartMetric, x: Array, f: Array, X: Array) -> Array:
+    """The matrices Om(f)(X, f_j)[a, b] = g(R(X, f_j) f_b, f_a), stacked over j.
 
-    For surfaces this uses the Gaussian curvature and the area form (the
-    realized orientation of the frame convention); in higher dimension it
-    contracts the full curvature tensor.
+    For surfaces this is R(X, Y)Z = kappa (g(Y, Z) X - g(X, Z) Y): with
+    G = f^T g, Om_j = kappa ((G X) (G f_j)^T - (G f_j) (G X)^T), exact on
+    any frame, from one metric and one ``gauss_curvature``.  In higher
+    dimension it contracts the full curvature tensor.
     """
     n = chart.dim
     if n == 2:
-        jet = MetricJet((chart,), [x])
-        k = jet.kappa[0] * jet.rho[0]
-        return [k * (X[0] * f[1, j] - X[1] * f[0, j]) * E2 for j in range(2)]
+        G = f.T @ chart.metric(x)
+        gx, gf = G @ X, (G @ f).T  # gf[j] = G f_j
+        return gauss_curvature(chart, x) * (gx[:, None] * gf[:, None] - gf[:, :, None] * gx)
     _, low = riemann(chart, x)
-    return [curvature_form_from_lowered(low, f, X, f[:, j]) for j in range(n)]
+    return np.array([curvature_form_from_lowered(low, f, X, f[:, j]) for j in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -575,13 +580,17 @@ def rn_rolling_flow(
     the charge correction enters as a curvature contraction with the
     chordal displacement,
 
-        udot_j = <lam0, Om(f u, f_j)> + g(R(f u, f_j) f v0, f (y - y0)),
+        udot_j = <lam0, Om_j> + g(R(f u, f_j) f v0, f (y - y0))
+               = <lam0, Om_j> + (y - y0)^T Om_j v0,
 
-    integrated as an independent code path: form "a" moves its frame with
-    the kernel :class:`~rollgeo.geometry.MetricJet` (and on a surface
-    carries the scalar charge), and form "b" takes the Christoffel symbols
-    and the Riemann tensor.  State layout for both: ``rn_layout``,
-    ``[x, f, u, w]``, with the w slot holding y in form "b".
+    with Om_j = Om(f u, f_j) from :func:`curvature_forms_along`, and y0 = 0.
+    It is integrated as an independent code path: form "a" moves its frame
+    with the kernel :class:`~rollgeo.geometry.MetricJet` (and on a surface
+    carries the scalar charge), and form "b" with the Christoffel symbols,
+    taking its curvature forms on a surface from the metric and
+    ``gauss_curvature`` and above two dimensions from one Riemann tensor per
+    right-hand side.  State layout for both: ``rn_layout``, ``[x, f, u, w]``,
+    with the w slot holding y in form "b".
     """
     n = chart.dim
     layout = rn_layout(n)
@@ -591,8 +600,8 @@ def rn_rolling_flow(
 
     if form not in ("a", "b"):
         raise ValueError("form must be 'a' or 'b'")
+    x_slot, f_slot, u_slot, w_slot = (layout.slices[name] for name in "xfuw")
     if form == "a":
-        x_slot, f_slot, u_slot, w_slot = (layout.slices[name] for name in "xfuw")
         if n == 2:
             # lam = ell E2 with ell = lam0_01 + w_0 v0_1 - w_1 v0_0, in the closed
             # form of the module docstring: udot = ell k (-u_1, u_0), k = kappa rho det f.
@@ -619,16 +628,15 @@ def rn_rolling_flow(
             return out
     else:
         def rhs(t, z):
-            d = layout.split(z)
-            x, f, u, y = d["x"], d["f"], d["u"], d["w"]
+            x, f, u, y = z[x_slot], z[f_slot].reshape(n, n), z[u_slot], z[w_slot]
             xdot = f @ u
-            fdot = -gamma_contract(christoffel(chart, x), xdot) @ f
             om = curvature_forms_along(chart, x, f, xdot)
-            _, low = riemann(chart, x)
-            fv, fy = f @ v0, f @ y
-            udot = [pair(lam0, om[j]) + np.einsum("ijkl,i,j,k,l->", low, xdot, f[:, j], fy, fv)
-                    for j in range(n)]
-            return layout.pack(x=xdot, f=fdot, u=np.array(udot), w=u)
+            out = np.empty(layout.size)
+            out[x_slot] = xdot
+            out[f_slot] = (-gamma_contract(christoffel(chart, x), xdot) @ f).ravel()
+            out[u_slot] = 0.5 * (om * lam0).sum((1, 2)) + om @ v0 @ y
+            out[w_slot] = u
+            return out
 
     def margin(z):
         return chart.margin(layout.split(z)["x"])

@@ -356,8 +356,9 @@ def validate_scenario(scenario: dict) -> dict:
     for key in _REQUIRED[kind]:
         if key not in scenario:
             raise ScenarioError(f"kind {kind!r} requires field {key!r}")
-    if not _all_finite(scenario):
-        raise ScenarioError("scenario contains non-finite numeric fields")
+    for key, value in scenario.items():
+        if not _all_finite(value):
+            raise ScenarioError(f"field {key!r} contains a non-finite number")
     if not _is_number(scenario["T"]) or scenario["T"] == 0:
         raise ScenarioError(f"field 'T' must be a nonzero number, got {scenario['T']!r}")
     if "tol" in scenario and not (_is_number(scenario["tol"]) and scenario["tol"] > 0):
@@ -656,6 +657,7 @@ def _suite_first_integrals(tol: float | None) -> list[dict]:
             continue
         if tol is not None:
             scenario["tol"] = tol
+        validate_scenario(scenario)
         run = integrate_geodesic(_geodesic_initial(scenario),
                                  float(scenario["T"]),
                                  float(scenario["tol"]))

@@ -104,6 +104,7 @@ class TestRunErrors:
         ("--T", "0", "'T'"),
         ("--tol", "-1", "'tol'"),
         ("--tol", "0", "'tol'"),
+        ("--tol", "nan", "'tol'"),
     ])
     def test_degenerate_horizon_or_tolerance_is_validation_error(
             self, runner, tmp_path, option, value, field):
@@ -362,6 +363,15 @@ class TestVerify:
         assert result.exit_code == 3
         assert "first-integrals" in result.output
         assert "theorem-2-4" in result.output
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("suite", ["first-integrals", "theorem-2-4"])
+    def test_degenerate_tolerance_is_validation_error(self, runner, tmp_path, suite, tol):
+        result = _run(runner, "verify", suite, "--tol", tol, "--output-dir", str(tmp_path))
+        assert result.exit_code == 3
+        assert "'tol'" in result.output
+        assert "Traceback" not in result.output
+        assert not list(tmp_path.iterdir())
 
     def test_first_integrals_report(self, runner, tmp_path):
         result = _run(runner, "verify", "first-integrals",

@@ -392,8 +392,11 @@ class TestSurfaceKernel:
             assert _close(rhs(0.0, z),
                           _reference_develop_rhs(chart, chart_hat, curve, curve_dot, z))
 
+    @pytest.mark.parametrize("form", ["a", "b"])
     @pytest.mark.parametrize("name", _KERNEL_SURFACES + list(_SOLID_PAIR))
-    def test_flat_target_rhs_matches_tensor_route(self, name, monkeypatch):
+    def test_flat_target_rhs_matches_tensor_route(self, name, form, monkeypatch):
+        # form "b" reads its w slot as y: since Om_j is skew,
+        # <lam0 + y v0^T - v0 y^T, Om_j> = <lam0, Om_j> + y^T Om_j v0
         (chart,) = _charts_named([name])
         n = chart.dim
         rng = np.random.default_rng(13)
@@ -401,7 +404,7 @@ class TestSurfaceKernel:
         v0, lam0 = rng.normal(size=n), 0.7 * _skew(rng, n)
         f0 = orthonormal_frame_at(chart, x0).f
         rhs = _captured_rhs(monkeypatch, rollgeo.geodesics, lambda: rn_rolling_flow(
-            chart, x0, f0, np.eye(n)[0], v0, lam0, 1.0, form="a"))
+            chart, x0, f0, np.eye(n)[0], v0, lam0, 1.0, form=form))
         for _ in range(3):
             x = _random_point(chart, rng)
             z = rn_layout(n).pack(x=x, f=_random_frame(chart, x, rng), u=rng.normal(size=n),
@@ -409,13 +412,29 @@ class TestSurfaceKernel:
             assert _close(rhs(0.0, z), _reference_flat_target_rhs(chart, lam0, v0, z))
 
 
+    @pytest.mark.parametrize("name", _KERNEL_SURFACES)
+    def test_curvature_forms_hold_on_any_frame(self, name):
+        (chart,) = _charts_named([name])
+        rng = np.random.default_rng(19)
+        for _ in range(3):
+            x = _random_point(chart, rng)
+            m = rng.normal(size=(2, 2))
+            if np.linalg.det(m) < 0:
+                m[:, 0] = -m[:, 0]
+            f, X = _random_frame(chart, x, rng) @ m, rng.normal(size=2)
+            _, low = riemann(chart, x)
+            om = curvature_forms_along(chart, x, f, X)
+            for j in range(2):
+                assert _close(om[j], curvature_form_from_lowered(low, f, X, f[:, j]))
+
+
 class TestRoutes:
-    """Which flows reach the Christoffel symbols and the curvature function."""
+    """Which flows reach the Christoffel symbols and the curvature functions."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
         counts = {}
-        for name in ("christoffel", "gauss_curvature"):
+        for name in ("christoffel", "gauss_curvature", "riemann"):
             original = getattr(rollgeo.geometry, name)
             counts[name] = 0
 
@@ -445,7 +464,31 @@ class TestRoutes:
         reduce_2d(_sphere_on_plane_state(), 0.5)
         self._develop()
         self._flat_target("a")
-        assert calls == {"christoffel": 0, "gauss_curvature": 0}
+        assert calls == {"christoffel": 0, "gauss_curvature": 0, "riemann": 0}
+
+    def test_surface_curvature_forms_take_no_riemann_tensor(self, calls):
+        self._flat_target("b")
+        vtilde_symmetry_check(integrate_geodesic(_sphere_on_plane_state().to_full(), 0.5))
+        assert calls["gauss_curvature"] > 0
+        assert calls["riemann"] == 0
+
+    def test_form_b_in_three_dimensions_takes_one_riemann_per_rhs(self, calls, monkeypatch):
+        real, rhs_calls = rollgeo.geodesics.integrate, [0]
+
+        def counting(rhs, *args, **kwargs):
+            def counted(t, z):
+                rhs_calls[0] += 1
+                return rhs(t, z)
+            return real(counted, *args, **kwargs)
+
+        monkeypatch.setattr(rollgeo.geodesics, "integrate", counting)
+        (chart,) = _charts_named(_SOLID_PAIR[:1])
+        rng = np.random.default_rng(23)
+        x0 = _random_point(chart, rng)
+        rn_rolling_flow(chart, x0, orthonormal_frame_at(chart, x0).f, rng.normal(size=3),
+                        rng.normal(size=3), _skew(rng, 3), 0.3, form="b")
+        assert rhs_calls[0] > 0
+        assert calls["riemann"] == rhs_calls[0]
 
     @pytest.fixture()
     def transport_calls(self, monkeypatch):
