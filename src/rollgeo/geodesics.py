@@ -38,7 +38,8 @@ D = sum_i X^i d_i g and B[l, m] = sum_i X^i d_l g_im are the metric
 derivative contracted with X = xdot (N is the Christoffel matrix
 Gamma(X) with its upper index lowered), and g^-1 = adj g / det g.  That is
 one metric evaluation, one metric derivative and one curvature per surface,
-all from one :class:`~rollgeo.geometry.MetricJet`.
+all from one :class:`~rollgeo.geometry.MetricJet`, whose curvature is
+evaluated only by the flows that read it.
 The surface system takes a stack of states, one per row, and evaluates
 everything but the charts' own functions once for the whole stack; a
 single state is a stack of one.
@@ -58,6 +59,12 @@ code: the transport of form "b" and the slip and twist residual of
 charge with :func:`curvature_forms_along`, which on surfaces builds each
 form from the identity above with one metric and one ``gauss_curvature``
 and shares no code with the kernel.
+
+Every state here begins with its configuration, the slots x, f and, for
+two surfaces, xhat, fhat: :func:`rollgeo.rolling.contact_hooks` checks
+it at the start, stops the run at a chart edge and re-orthonormalizes the
+frames between chunks, and the runs read it back through
+:class:`rollgeo.rolling.RollingRun`.
 """
 
 from __future__ import annotations
@@ -75,7 +82,7 @@ from .geometry import (MetricJet, christoffel, curvature_form_from_lowered, gaus
 from .integrate import (DEFAULT_TOL, DENSE_MAX_STEP, DERIV_STEP, Skew, StateLayout,
                         Trajectory, integrate)
 from .integrate import skew_to_vec, vec_to_skew  # noqa: F401 (re-exported)
-from .rolling import RollingConfiguration, so_projection
+from .rolling import RollingConfiguration, RollingRun, contact_hooks
 from .transport import gamma_contract
 
 E2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -112,29 +119,6 @@ _PEND_MEMORY = slice(_PEND["C"].start, _PEND["S"].stop)
 def rn_layout(n: int) -> StateLayout:
     """State of rolling on flat space: ``[x, f, u, w]``."""
     return StateLayout(x=n, f=(n, n), u=n, w=n)
-
-
-def _contact_hooks(layout: StateLayout, chart: ChartMetric, chart_hat: ChartMetric):
-    """Chart-exit margin and frame reprojection on the x, xhat, f, fhat slots.
-
-    Both take a state or a flat stack of states: the margin is the least
-    over the rows, and each row is reprojected.
-    """
-    x, xhat = layout.slices["x"], layout.slices["xhat"]
-
-    def margin(z):
-        zs = z.reshape(-1, layout.size)
-        return min(min(map(chart.margin, zs[:, x])), min(map(chart_hat.margin, zs[:, xhat])))
-
-    def reproject(z):
-        z = z.copy()
-        for row in z.reshape(-1, layout.size):
-            d = layout.split(row)
-            d["f"][:] = so_projection(d["f"], chart.validate(d["x"]))
-            d["fhat"][:] = so_projection(d["fhat"], chart_hat.validate(d["xhat"]))
-        return z
-
-    return margin, reproject
 
 
 @dataclass(frozen=True)
@@ -197,27 +181,10 @@ def curvature_forms_along(chart: ChartMetric, x: Array, f: Array, X: Array) -> A
 # Full geodesic flow
 
 @dataclass
-class GeodesicRun:
-    """An integrated geodesic with chart references and slot accessors."""
+class GeodesicRun(RollingRun):
+    """An integrated geodesic, ``geodesic_layout``; a stacked run has one row per state."""
 
-    chart: ChartMetric
-    chart_hat: ChartMetric
-    traj: Trajectory
-
-    @property
-    def dim(self) -> int:
-        return self.chart.dim
-
-    @property
-    def t1(self) -> float:
-        return self.traj.t1
-
-    @property
-    def truncated(self) -> bool:
-        return self.traj.truncated
-
-    def split(self, z: Array) -> dict:
-        return geodesic_layout(self.dim).split(z)
+    layout_for = staticmethod(geodesic_layout)
 
     def ends(self) -> dict:
         """Slots at the last node, one row per state of a stacked run."""
@@ -225,16 +192,11 @@ class GeodesicRun:
 
     def state(self, t: float) -> RollingGeodesicState:
         d = self.split(self.traj.sample([t])[0])
-        cfg = RollingConfiguration(chart=self.chart, chart_hat=self.chart_hat,
-                                   x=d["x"], xhat=d["xhat"], f=d["f"], fhat=d["fhat"])
-        return RollingGeodesicState(cfg=cfg, u=d["u"], v=d["v"], lam=d["lam"])
+        return RollingGeodesicState(cfg=self.configuration(t), u=d["u"], v=d["v"], lam=d["lam"])
 
     def speed_drift(self, m: int = 200) -> float:
         sp = [np.linalg.norm(u) for u in self.split(self.traj.sample(self.traj.grid(m)))["u"]]
         return float(max(sp) - min(sp))
-
-    def grid(self, m: int) -> Array:
-        return self.traj.grid(m)
 
 
 def geodesic_rhs(chart: ChartMetric, chart_hat: ChartMetric, t: float, z: Array) -> Array:
@@ -256,7 +218,7 @@ def geodesic_rhs(chart: ChartMetric, chart_hat: ChartMetric, t: float, z: Array)
 
     xdot = f @ u
     xhatdot = fhat @ u
-    jet = MetricJet((chart, chart_hat), (x, xhat), curvature=False)
+    jet = MetricJet((chart, chart_hat), (x, xhat))
     fdot, fhatdot = jet.frame_rate(np.array([xdot, xhatdot]), np.array([f, fhat]))
 
     om = curvature_forms_along(chart, x, f, xdot)
@@ -327,16 +289,13 @@ def integrate_geodesic(
     states = [s0] if isinstance(s0, RollingGeodesicState) else list(s0)
     chart, chart_hat = states[0].cfg.chart, states[0].cfg.chart_hat
     layout = geodesic_layout(chart.dim)
-    for s in states:
-        chart.validate(s.cfg.x)
-        chart_hat.validate(s.cfg.xhat)
 
     def rhs(t, z):
         return geodesic_rhs(chart, chart_hat, t, z)
 
-    margin, reproject = _contact_hooks(layout, chart, chart_hat)
     z0 = np.concatenate([layout.pack(x=s.cfg.x, xhat=s.cfg.xhat, f=s.cfg.f, fhat=s.cfg.fhat,
                                      u=s.u, v=s.v, lam=s.lam) for s in states])
+    margin, reproject = contact_hooks(layout, z0, chart, chart_hat)
     traj = integrate(rhs, z0, T, tol, margin=margin, reproject=reproject,
                      max_step=max_step, dense_output=dense_output)
     return GeodesicRun(chart=chart, chart_hat=chart_hat, traj=traj)
@@ -388,7 +347,7 @@ def vtilde_symmetry_check(run: GeodesicRun, samples: int = 100) -> dict:
 # 2D reduction
 
 @dataclass
-class PendulumRun:
+class PendulumRun(RollingRun):
     """A reduced 2D run with curvature channels and quadrature slots.
 
     State layout ``PENDULUM_LAYOUT``: ``[x, xhat, f, fhat, theta, L, b1,
@@ -397,35 +356,21 @@ class PendulumRun:
     the separated kernel of the memory force.
     """
 
-    chart: ChartMetric
-    chart_hat: ChartMetric
+    layout_for = staticmethod(lambda n: PENDULUM_LAYOUT)
+
     a: float
-    traj: Trajectory
-
-    @property
-    def t1(self) -> float:
-        return self.traj.t1
-
-    @property
-    def truncated(self) -> bool:
-        return self.traj.truncated
-
-    def grid(self, m: int) -> Array:
-        return self.traj.grid(m)
 
     def channels(self, ts) -> dict:
         zs = self.traj.sample(ts)
-        out = PENDULUM_LAYOUT.split(zs)
+        out = self.split(zs)
         out["kappa"], out["kappahat"] = _contact_curvatures(self.chart, self.chart_hat, zs)
         out["F"] = np.sin(out["theta"]) * out["C"] - np.cos(out["theta"]) * out["S"]
         return out
 
     def state(self, t: float) -> Pendulum2DState:
-        d = PENDULUM_LAYOUT.split(self.traj.sample([t])[0])
-        cfg = RollingConfiguration(chart=self.chart, chart_hat=self.chart_hat,
-                                   x=d["x"], xhat=d["xhat"], f=d["f"], fhat=d["fhat"])
-        return Pendulum2DState(cfg=cfg, theta=d["theta"], L=d["L"], b1=d["b1"], b2=d["b2"],
-                               a=self.a)
+        d = self.split(self.traj.sample([t])[0])
+        return Pendulum2DState(cfg=self.configuration(t), theta=d["theta"], L=d["L"],
+                               b1=d["b1"], b2=d["b2"], a=self.a)
 
 
 def _contact_curvatures(chart: ChartMetric, chart_hat: ChartMetric, zs: Array) -> Array:
@@ -451,8 +396,6 @@ def reduce_2d(
     chart, chart_hat = s0.cfg.chart, s0.cfg.chart_hat
     if chart.dim != 2:
         raise DimensionError("reduce_2d requires surfaces")
-    chart.validate(s0.cfg.x)
-    chart_hat.validate(s0.cfg.xhat)
     a = s0.a
     charts = (chart, chart_hat)
 
@@ -475,9 +418,9 @@ def reduce_2d(
         out[_PEND_MEMORY] = c * w, s * w
         return out
 
-    margin, reproject = _contact_hooks(PENDULUM_LAYOUT, chart, chart_hat)
     z0 = PENDULUM_LAYOUT.pack(x=s0.cfg.x, xhat=s0.cfg.xhat, f=s0.cfg.f, fhat=s0.cfg.fhat,
                               theta=s0.theta, L=s0.L, b1=s0.b1, b2=s0.b2, C=0.0, S=0.0)
+    margin, reproject = contact_hooks(PENDULUM_LAYOUT, z0, chart, chart_hat)
     traj = integrate(rhs, z0, T, tol, margin=margin, reproject=reproject,
                      max_step=DENSE_MAX_STEP)
     kap, kaphat = _contact_curvatures(chart, chart_hat, traj.y)
@@ -596,8 +539,6 @@ def rn_rolling_flow(
     layout = rn_layout(n)
     lam0 = np.asarray(lam0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
-    chart.validate(x0)
-
     if form not in ("a", "b"):
         raise ValueError("form must be 'a' or 'b'")
     x_slot, f_slot, u_slot, w_slot = (layout.slices[name] for name in "xfuw")
@@ -618,7 +559,7 @@ def rn_rolling_flow(
 
         def rhs(t, z):
             f, u, w = z[f_slot].reshape(1, n, n), z[u_slot], z[w_slot]
-            jet = MetricJet((chart,), [z[x_slot]], curvature=n == 2)
+            jet = MetricJet((chart,), [z[x_slot]])
             xdot = f @ u
             out = np.empty(layout.size)
             out[x_slot] = xdot[0]
@@ -638,17 +579,9 @@ def rn_rolling_flow(
             out[w_slot] = u
             return out
 
-    def margin(z):
-        return chart.margin(layout.split(z)["x"])
-
-    def reproject(z):
-        z = z.copy()
-        d = layout.split(z)
-        d["f"][:] = so_projection(d["f"], chart.validate(d["x"]))
-        return z
-
     z0 = layout.pack(x=np.asarray(x0, float), f=np.asarray(f0, float),
                      u=np.asarray(u0, float), w=np.zeros(n))
+    margin, reproject = contact_hooks(layout, z0, chart)
     return integrate(rhs, z0, T, tol, margin=margin, reproject=reproject,
                      max_step=DENSE_MAX_STEP)
 

@@ -182,32 +182,28 @@ class MetricJet:
 
     Point ``xs[i]`` lies on ``charts[i]``, and all charts have one dimension.
     Construction evaluates each chart's ``metric_jet`` once per point and
-    keeps dg, adj g and det g.  On surfaces, with ``curvature`` (the
-    default), it also evaluates the Gaussian curvature ``kappa`` once per
-    point; a flow that only transports frames, or runs above two
-    dimensions, passes False, and ``kappa`` is None.  The curvature's rate
-    is evaluated only by ``kappa_rate``.  Both take a chart's analytic
+    keeps dg, and adj g and det g from :func:`adjugate`.  On surfaces the
+    Gaussian curvature ``kappa`` is evaluated, once per point, on its first
+    read, and its rate only by ``kappa_rate``; both take a chart's analytic
     ``kappa`` where it has one, else ``gauss_curvature``.
     """
 
-    __slots__ = ("charts", "xs", "dg", "adj", "det", "kappa")
+    __slots__ = ("charts", "xs", "dg", "adj", "det", "_kappa")
 
-    def __init__(self, charts: Sequence[ChartMetric], xs: Array, curvature: bool = True):
+    def __init__(self, charts: Sequence[ChartMetric], xs: Array):
         m, n = len(xs), charts[0].dim
-        g, dg, kappa = np.empty((m, n, n)), np.empty((m, n, n, n)), np.empty(m)
+        g, dg = np.empty((m, n, n)), np.empty((m, n, n, n))
         for i, (c, x) in enumerate(zip(charts, xs)):
             g[i], dg[i] = c.metric_jet(x)
-            if curvature:
-                kappa[i] = c.kappa(x) if c.kappa is not None else gauss_curvature(c, x)
-        self.charts, self.xs, self.dg = charts, xs, dg
-        self.kappa = kappa if curvature else None
-        # g is symmetric, so on surfaces adj g needs no transpose; kept inline
-        # because the surface flows build a jet in every right-hand side.
-        if n == 2:
-            self.adj = g[:, ::-1, ::-1] * _ADJ_SIGNS
-            self.det = (g[:, 0] * self.adj[:, 0]).sum(-1)
-        else:
-            self.adj, self.det = adjugate(g)
+        self.charts, self.xs, self.dg, self._kappa = charts, xs, dg, None
+        self.adj, self.det = adjugate(g)
+
+    @property
+    def kappa(self) -> Array:
+        """The Gaussian curvature at each surface point, from ``surface_kappa``."""
+        if self._kappa is None:
+            self._kappa = surface_kappa(self.charts, self.xs)
+        return self._kappa
 
     @property
     def rho(self) -> Array:

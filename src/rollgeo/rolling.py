@@ -7,13 +7,18 @@ frame to column j of the second, so q = fhat f^-1 in chart components.
 Rolling without slipping or twisting along a prescribed base curve
 ("development") keeps both frames parallel and matches velocities through
 q; this makes the dynamics linear in the frame matrices.
+
+Every rolling flow, here and in :mod:`rollgeo.geodesics`, starts its state
+with the configuration: :func:`contact_hooks` checks it at the start, keeps
+it in its charts and on the orthonormal frame bundle, and
+:class:`RollingRun` reads it back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -81,22 +86,23 @@ def aligned_configuration(
 
 @lru_cache(maxsize=None)
 def develop_layout(n: int) -> StateLayout:
-    """State of a development: ``[xhat, f, fhat, clock]``."""
-    return StateLayout(xhat=n, f=(n, n), fhat=(n, n), clock=())
+    """State of a development: ``[x, xhat, f, fhat]``."""
+    return StateLayout(x=n, xhat=n, f=(n, n), fhat=(n, n))
 
 
 @dataclass
-class RollingPath:
-    """A development run: the base curve plus the integrated frame data.
+class RollingRun:
+    """An integrated rolling flow: the chart pair and the trajectory.
 
-    The trajectory state is ``develop_layout``, ``[xhat, f, fhat, clock]``;
-    the base point x comes from the prescribed curve at the clock value.
+    Every rolling state begins with its configuration, the x, xhat, f and
+    fhat slots of the layout a subclass names in ``layout_for``, a function
+    of the dimension.
     """
+
+    layout_for: ClassVar[Callable[[int], StateLayout]]
 
     chart: ChartMetric
     chart_hat: ChartMetric
-    curve: Callable[[float], Array]
-    curve_dot: Callable[[float], Array]
     traj: Trajectory
 
     @property
@@ -111,15 +117,26 @@ class RollingPath:
     def truncated(self) -> bool:
         return self.traj.truncated
 
-    def configuration(self, t: float) -> RollingConfiguration:
-        d = develop_layout(self.dim).split(self.traj.sample([t])[0])
-        return RollingConfiguration(
-            chart=self.chart, chart_hat=self.chart_hat,
-            x=self.curve(t), xhat=d["xhat"], f=d["f"], fhat=d["fhat"],
-        )
-
     def grid(self, m: int) -> Array:
         return self.traj.grid(m)
+
+    def split(self, z: Array) -> dict:
+        return self.layout_for(self.dim).split(z)
+
+    def configuration(self, t: float) -> RollingConfiguration:
+        d = self.split(self.traj.sample([t])[0])
+        return RollingConfiguration(chart=self.chart, chart_hat=self.chart_hat,
+                                    x=d["x"], xhat=d["xhat"], f=d["f"], fhat=d["fhat"])
+
+
+@dataclass
+class RollingPath(RollingRun):
+    """A development run: ``develop_layout``, ``[x, xhat, f, fhat]``, with the
+    prescribed base velocity ``curve_dot``."""
+
+    layout_for = staticmethod(develop_layout)
+
+    curve_dot: Callable[[float], Array]
 
 
 def frame_connection_form(chart: ChartMetric, x: Array, v: Array) -> Array:
@@ -174,6 +191,41 @@ def so_projection(f: Array, g: Array, tol: float = 0.5) -> Array:
     return np.linalg.solve(L.T, U @ Vt)
 
 
+def contact_hooks(layout: StateLayout, z0: Array, chart: ChartMetric,
+                  chart_hat: ChartMetric | None = None):
+    """Check a rolling state at its start; its chart-exit margin and frame reprojection.
+
+    The contacts are the x and f slots on ``chart`` and, with ``chart_hat``,
+    the xhat and fhat slots on it.  ``z0`` and the states the hooks take are
+    one state or a flat stack of states.  The metric is validated at every
+    contact point of ``z0`` (:class:`SingularMetricError` names the chart);
+    the margin is the least over the rows and contacts, and the reprojection
+    validates the metric and applies :func:`so_projection` at each contact
+    of each row.
+    """
+    contacts = [(chart, layout.slices["x"], layout.slices["f"])]
+    if chart_hat is not None:
+        contacts.append((chart_hat, layout.slices["xhat"], layout.slices["fhat"]))
+    n = chart.dim
+
+    for row in z0.reshape(-1, layout.size):
+        for c, x, _ in contacts:
+            c.validate(row[x])
+
+    def margin(z):
+        zs = z.reshape(-1, layout.size)
+        return min(min(map(c.margin, zs[:, x])) for c, x, _ in contacts)
+
+    def reproject(z):
+        z = z.copy()
+        for row in z.reshape(-1, layout.size):
+            for c, x, f in contacts:
+                row[f] = so_projection(row[f].reshape(n, n), c.validate(row[x])).ravel()
+        return z
+
+    return margin, reproject
+
+
 def develop(
     cfg0: RollingConfiguration,
     curve: Callable[[float], Array],
@@ -185,54 +237,41 @@ def develop(
 
     Both frames are kept parallel along their contact curves and the
     second contact point follows the isometry image of the base velocity;
-    this is the unique admissible motion over the given curve.  In every
-    dimension one :class:`~rollgeo.geometry.MetricJet` on (x, xhat) moves
+    this is the unique admissible motion over the given curve.  The state
+    is ``develop_layout``, ``[x, xhat, f, fhat]``: x moves with xdot =
+    curve_dot(t), and ``curve`` only checks the start.  In every dimension
+    one :class:`~rollgeo.geometry.MetricJet` on the carried (x, xhat) moves
     both frames, and xhatdot = fhat f^-1 xdot with f^-1 = adj f / det f.
-    Frames are re-orthonormalized between integration chunks; chart exit on
-    either surface truncates the run.
+    :func:`contact_hooks` checks the start, re-orthonormalizes the frames
+    between integration chunks and truncates the run at chart exit on
+    either surface.
     """
     chart, chart_hat = cfg0.chart, cfg0.chart_hat
     charts, n = (chart, chart_hat), chart.dim
     layout = develop_layout(n)
     if np.abs(np.asarray(curve(0.0), float) - cfg0.x).max() > 1e-9:
         raise ValueError("curve(0) does not match the starting configuration")
-    chart.validate(cfg0.x)
-    chart_hat.validate(cfg0.xhat)
 
-    xhat_slot, clock_slot = layout.slices["xhat"], layout.slices["clock"].start
-    frame_slots = slice(layout.slices["f"].start, layout.slices["fhat"].stop)
+    # x, xhat are adjacent, and so are f, fhat
+    points = slice(layout.slices["x"].start, layout.slices["xhat"].stop)
+    frames = slice(layout.slices["f"].start, layout.slices["fhat"].stop)
 
     def rhs(t, z):
-        fs = z[frame_slots].reshape(2, n, n)
-        x = np.asarray(curve(z[clock_slot]), float)
-        xdot = np.asarray(curve_dot(z[clock_slot]), float)
+        fs = z[frames].reshape(2, n, n)
+        xdot = np.asarray(curve_dot(t), float)
         adj, det = adjugate(fs[0])
         xdots = np.array([xdot, fs[1] @ ((adj * xdot).sum(-1) / det)])
-        jet = MetricJet(charts, np.array([x, z[xhat_slot]]), curvature=False)
+        jet = MetricJet(charts, z[points].reshape(2, n))
         out = np.empty(layout.size)
-        out[xhat_slot] = xdots[1]
-        out[frame_slots] = jet.frame_rate(xdots, fs).ravel()
-        out[clock_slot] = 1.0
+        out[points] = xdots.ravel()
+        out[frames] = jet.frame_rate(xdots, fs).ravel()
         return out
 
-    def margin(z):
-        d = layout.split(z)
-        return min(chart.margin(np.asarray(curve(d["clock"]), float)),
-                   chart_hat.margin(d["xhat"]))
-
-    def reproject(z):
-        z = z.copy()
-        d = layout.split(z)
-        x = np.asarray(curve(d["clock"]), float)
-        d["f"][:] = so_projection(d["f"], chart.validate(x))
-        d["fhat"][:] = so_projection(d["fhat"], chart_hat.validate(d["xhat"]))
-        return z
-
-    z0 = layout.pack(xhat=cfg0.xhat, f=cfg0.f, fhat=cfg0.fhat, clock=0.0)
+    z0 = layout.pack(x=cfg0.x, xhat=cfg0.xhat, f=cfg0.f, fhat=cfg0.fhat)
+    margin, reproject = contact_hooks(layout, z0, chart, chart_hat)
     traj = integrate(rhs, z0, T, tol, margin=margin, reproject=reproject,
                      max_step=DENSE_MAX_STEP)
-    return RollingPath(chart=chart, chart_hat=chart_hat,
-                       curve=curve, curve_dot=curve_dot, traj=traj)
+    return RollingPath(chart=chart, chart_hat=chart_hat, traj=traj, curve_dot=curve_dot)
 
 
 def noslip_notwist_residual(path: RollingPath, m: int = 100) -> dict:
@@ -245,9 +284,8 @@ def noslip_notwist_residual(path: RollingPath, m: int = 100) -> dict:
     the transported test vectors.
     """
     n = path.dim
-    layout = develop_layout(n)
     ts, zs, dzs = path.traj.derivative(path.grid(m))
-    d, dot = layout.split(zs), layout.split(dzs)
+    d, dot = path.split(zs), path.split(dzs)
     slip = twist = 0.0
     for i, t in enumerate(ts):
         xhat, fhat, xhatdot = d["xhat"][i], d["fhat"][i], dot["xhat"][i]

@@ -43,9 +43,7 @@ class ShootingProblem:
     tol: float = 1e-8
     integrator_tol: float = DEFAULT_TOL
     max_iterations: int = 50
-    multistart: int = 1
     seed: int = 0
-    weights: tuple = (1.0, 1.0, None)
 
     def __post_init__(self):
         if self.cfg0.chart.label != self.cfg1.chart.label or \
@@ -68,22 +66,16 @@ class ShootingResult:
     history: list = field(default_factory=list)
 
 
-def configuration_distance(c1: RollingConfiguration, c2: RollingConfiguration,
-                           weights: tuple = (1.0, 1.0, None)) -> float:
-    """Weighted distance between configurations on a shared chart pair.
+def configuration_distance(c1: RollingConfiguration, c2: RollingConfiguration) -> float:
+    """Distance between configurations on a shared chart pair.
 
-    Chart-coordinate distance on each surface plus the Frobenius distance
-    of the isometry matrices; the isometry weight defaults to 1/n.
+    Chart-coordinate distance on each surface plus 1/n times the Frobenius
+    distance of the isometry matrices.
     """
     if c1.chart.label != c2.chart.label or c1.chart_hat.label != c2.chart_hat.label:
         raise DimensionError("configurations on different charts")
-    n = c1.chart.dim
-    wq = weights[2] if weights[2] is not None else 1.0 / n
-    return float(
-        weights[0] * np.linalg.norm(c1.x - c2.x)
-        + weights[1] * np.linalg.norm(c1.xhat - c2.xhat)
-        + wq * np.linalg.norm(c1.q - c2.q)
-    )
+    return float(np.linalg.norm(c1.x - c2.x) + np.linalg.norm(c1.xhat - c2.xhat)
+                 + np.linalg.norm(c1.q - c2.q) / c1.chart.dim)
 
 
 def _params_to_state(cfg0: RollingConfiguration, p: Array, a: float) -> RollingGeodesicState:
@@ -125,21 +117,20 @@ def endpoint_map(
 
 def _shots(prob: ShootingProblem, P: Array,
            dense_output: bool = False) -> tuple[Optional[Array], GeodesicRun]:
-    """Weighted endpoint residual of each row of ``P``, one row each, and the run.
+    """Endpoint residual of each row of ``P``, one row each, and the run.
 
-    The residual is None when the stacked run left the chart.
+    The residual stacks the contact point errors and 1/n times the isometry
+    error; it is None when the stacked run left the chart.
     """
     run = _shoot(prob.cfg0, P, prob.a, prob.T, prob.integrator_tol, dense_output)
     if run.truncated:
         return None, run
     end = run.ends()
-    n = prob.cfg0.chart.dim
-    wq = prob.weights[2] if prob.weights[2] is not None else 1.0 / n
     q = end["fhat"] @ np.linalg.inv(end["f"])
     R = np.concatenate([
-        prob.weights[0] * (end["x"] - prob.cfg1.x),
-        prob.weights[1] * (end["xhat"] - prob.cfg1.xhat),
-        wq * (q - prob.cfg1.q).reshape(len(q), -1),
+        end["x"] - prob.cfg1.x,
+        end["xhat"] - prob.cfg1.xhat,
+        (q - prob.cfg1.q).reshape(len(q), -1) / prob.cfg0.chart.dim,
     ], axis=1)
     return R, run
 
@@ -160,10 +151,10 @@ def _jacobian(prob: ShootingProblem, p: Array) -> Optional[Array]:
 
 
 def solve(prob: ShootingProblem, p0: Optional[Array] = None) -> ShootingResult:
-    """Damped Gauss-Newton over the initial data, with optional multistart.
+    """Damped Gauss-Newton over the initial data.
 
-    Shots start from ``p0`` when given, otherwise from zero covector data
-    with headings spread by the golden angle.  The accepted-step residual
+    The iteration starts from ``p0`` when given, otherwise from a heading drawn
+    from ``prob.seed`` and zero covector data.  The accepted-step residual
     sequence is strictly decreasing; stalls return the best point found.
     """
     if prob.cfg0.chart.dim != 2:
@@ -175,26 +166,10 @@ def solve(prob: ShootingProblem, p0: Optional[Array] = None) -> ShootingResult:
             "bracket generating, the endpoint problem can be unreachable",
             stacklevel=2,
         )
-
-    golden = np.pi * (3.0 - np.sqrt(5.0))
-    rng = np.random.default_rng(prob.seed)
-    starts = []
-    if p0 is not None:
-        starts.append(np.asarray(p0, dtype=float))
-    else:
-        base = float(rng.uniform(0, 2 * np.pi))
-        for k in range(prob.multistart):
-            starts.append(np.array([base + k * golden, 0.0, 0.0, 0.0]))
-
-    best: Optional[ShootingResult] = None
-    for start in starts[:max(1, prob.multistart)]:
-        res = _solve_single(prob, start)
-        if best is None or res.residual < best.residual:
-            best = res
-        if best.status == "converged":
-            break
-    assert best is not None
-    return best
+    if p0 is None:
+        heading = float(np.random.default_rng(prob.seed).uniform(0, 2 * np.pi))
+        p0 = np.array([heading, 0.0, 0.0, 0.0])
+    return _solve_single(prob, np.asarray(p0, dtype=float))
 
 
 def _solve_single(prob: ShootingProblem, p: Array) -> ShootingResult:

@@ -40,7 +40,6 @@ from .rolling import (
     RollingConfiguration,
     aligned_configuration,
     develop,
-    develop_layout,
     noslip_notwist_residual,
 )
 from .shooting import ShootingProblem, endpoint_map, solve
@@ -479,8 +478,11 @@ def _run_pendulum(scenario: dict, samples: int):
 def _run_develop(scenario: dict, samples: int):
     cfg = _aligned_start(scenario)
     direction = np.asarray(scenario["direction"], float)
-    path = develop(cfg, lambda t: cfg.x + t * direction, lambda t: direction,
-                   float(scenario["T"]), float(scenario["tol"]))
+
+    def curve(t):
+        return cfg.x + t * direction
+
+    path = develop(cfg, curve, lambda t: direction, float(scenario["T"]), float(scenario["tol"]))
     res = noslip_notwist_residual(path)
     invariants = {"slip": res["slip"], "twist": res["twist"]}
     ts = path.grid(samples)
@@ -489,8 +491,9 @@ def _run_develop(scenario: dict, samples: int):
               + [f"xhat{i+1}" for i in range(n)]
               + [f"f{i+1}{j+1}" for i in range(n) for j in range(n)]
               + [f"fhat{i+1}{j+1}" for i in range(n) for j in range(n)])
-    d = develop_layout(n).split(path.traj.sample(ts))
-    rows = [[t, *path.curve(t), *xhat, *f.ravel(), *fhat.ravel()]
+    d = path.split(path.traj.sample(ts))
+    # the table's x is the prescribed curve, which the carried x follows to rounding
+    rows = [[t, *curve(t), *xhat, *f.ravel(), *fhat.ravel()]
             for t, xhat, f, fhat in zip(ts, d["xhat"], d["f"], d["fhat"])]
     return {"invariants": invariants, "truncated": path.truncated}, header, rows
 

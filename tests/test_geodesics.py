@@ -286,16 +286,16 @@ def _reference_pendulum_rhs(chart, chart_hat, a, z):
         L=a * b2, b1=thetadot * b2, b2=a * L * kaphat - thetadot * b1, C=c * w, S=s * w)
 
 
-def _reference_develop_rhs(chart, chart_hat, curve, curve_dot, z):
+def _reference_develop_rhs(chart, chart_hat, curve_dot, t, z):
     """Rolling along the curve without slip or twist, from Christoffel symbols."""
     layout = develop_layout(chart.dim)
     d = layout.split(z)
-    f, fhat = d["f"], d["fhat"]
-    x, xdot = curve(d["clock"]), curve_dot(d["clock"])
+    x, f, fhat = d["x"], d["f"], d["fhat"]
+    xdot = curve_dot(t)
     xhatdot = fhat @ np.linalg.solve(f, xdot)
     return layout.pack(
-        xhat=xhatdot, f=_tensor_frame_rate(chart, x, xdot, f),
-        fhat=_tensor_frame_rate(chart_hat, d["xhat"], xhatdot, fhat), clock=1.0)
+        x=xdot, xhat=xhatdot, f=_tensor_frame_rate(chart, x, xdot, f),
+        fhat=_tensor_frame_rate(chart_hat, d["xhat"], xhatdot, fhat))
 
 
 def _reference_flat_target_rhs(chart, lam0, v0, z):
@@ -384,13 +384,12 @@ class TestSurfaceKernel:
         rhs = _captured_rhs(monkeypatch, rollgeo.rolling,
                             lambda: develop(cfg, curve, curve_dot, 1.0))
         for _ in range(3):
-            clock = rng.uniform(0.0, 0.3)
-            xhat = _random_point(chart_hat, rng)
+            t = rng.uniform(0.0, 0.3)
+            x, xhat = curve(t), _random_point(chart_hat, rng)
             z = develop_layout(chart.dim).pack(
-                xhat=xhat, f=_random_frame(chart, curve(clock), rng),
-                fhat=_random_frame(chart_hat, xhat, rng), clock=clock)
-            assert _close(rhs(0.0, z),
-                          _reference_develop_rhs(chart, chart_hat, curve, curve_dot, z))
+                x=x, xhat=xhat, f=_random_frame(chart, x, rng),
+                fhat=_random_frame(chart_hat, xhat, rng))
+            assert _close(rhs(t, z), _reference_develop_rhs(chart, chart_hat, curve_dot, t, z))
 
     @pytest.mark.parametrize("form", ["a", "b"])
     @pytest.mark.parametrize("name", _KERNEL_SURFACES + list(_SOLID_PAIR))
@@ -533,6 +532,30 @@ class TestRoutes:
         assert calls["christoffel"] == 0
         noslip_notwist_residual(path)
         assert calls["christoffel"] > 0
+
+    @pytest.mark.parametrize("flow", ["integrate_geodesic", "reduce_2d", "develop",
+                                      "rn_rolling_flow-a", "rn_rolling_flow-b"])
+    def test_flows_take_the_shared_contact_hooks(self, flow, monkeypatch):
+        # the start check, chart exit and reprojection of every rolling state
+        # come from one call of rollgeo.rolling.contact_hooks
+        original, count = rollgeo.rolling.contact_hooks, [0]
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return original(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("rollgeo") and getattr(mod, "contact_hooks", None) is original:
+                monkeypatch.setattr(mod, "contact_hooks", counted)
+        if flow == "integrate_geodesic":
+            integrate_geodesic(_sphere_on_plane_state().to_full(), 0.5)
+        elif flow == "reduce_2d":
+            reduce_2d(_sphere_on_plane_state(), 0.5)
+        elif flow == "develop":
+            self._develop()
+        else:
+            self._flat_target(flow[-1])
+        assert count == [1]
 
 
 class TestFullFlow:

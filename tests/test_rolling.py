@@ -12,6 +12,7 @@ from rollgeo.geodesics import (
     RollingGeodesicState,
     integrate_geodesic,
     reduce_2d,
+    rn_rolling_flow,
 )
 from rollgeo.geometry import christoffel, gauss_curvature
 from rollgeo.integrate import integrate
@@ -20,6 +21,7 @@ from rollgeo.rolling import (
     aligned_configuration,
     curvature_gap,
     develop,
+    develop_layout,
     distribution_basis,
     noslip_notwist_residual,
     so_projection,
@@ -196,9 +198,8 @@ class TestDevelop:
         path = develop(cfg, curve, dcurve, 1.5)
         h = 1e-6
         for t in np.linspace(0.1, 1.4, 15):
-            zm, z0, zp = path.traj.sample([t - h, t, t + h])
-            xhat = z0[:2]
-            xhatdot = (zp[:2] - zm[:2]) / (2 * h)
+            xm, xhat, xp = develop_layout(2).split(path.traj.sample([t - h, t, t + h]))["xhat"]
+            xhatdot = (xp - xm) / (2 * h)
             sp = np.sqrt(xhatdot @ path.chart_hat.metric(xhat) @ xhatdot)
             xdot = dcurve(t)
             sp0 = np.sqrt(xdot @ SPHERE.metric(curve(t)) @ xdot)
@@ -278,6 +279,22 @@ class TestDevelop:
         assert np.abs(q1 - end.q).max() < 1e-7
 
 
+class TestChartExit:
+    """The flows that carry a configuration stop at the edge of its charts."""
+
+    @pytest.mark.parametrize("flow", ["reduce_2d", "rn-a", "rn-b"])
+    def test_heading_into_the_pole_band_truncates(self, flow):
+        cfg = _sphere_on_plane(x=(0.5, 0.0))  # u = (-1, 0) heads for the pole band
+        if flow == "reduce_2d":
+            run = reduce_2d(Pendulum2DState(cfg=cfg, theta=np.pi, L=0.0, b1=0.0, b2=0.0,
+                                            a=1.0), 3.0)
+        else:
+            run = rn_rolling_flow(SPHERE, cfg.x, cfg.f, np.array([-1.0, 0.0]), np.zeros(2),
+                                  0.0 * E2, 3.0, form=flow[-1])
+        assert run.truncated
+        assert run.t1 < 3.0
+
+
 class TestCurvatureGap:
     def test_plane_on_plane_zero(self):
         rep = curvature_gap(_plane_on_plane())
@@ -319,7 +336,8 @@ class TestMetricValidation:
                                     xhat=np.zeros(2), f=np.eye(2), fhat=np.eye(2))
 
     @pytest.mark.parametrize("chart_name", sorted(BAD_CHARTS))
-    @pytest.mark.parametrize("flow", ["geodesic", "reduce_2d", "develop", "lift"])
+    @pytest.mark.parametrize("flow", ["geodesic", "reduce_2d", "develop", "rn-a", "rn-b",
+                                      "lift"])
     def test_bad_start_metric_rejected(self, chart_name, flow):
         cfg = self._start(self.BAD_CHARTS[chart_name])
         direction = np.array([1.0, 0.0])
@@ -332,6 +350,9 @@ class TestMetricValidation:
                                           a=1.0), 1.0)
             elif flow == "develop":
                 develop(cfg, lambda t: t * direction, lambda t: direction, 1.0)
+            elif flow in ("rn-a", "rn-b"):
+                rn_rolling_flow(cfg.chart, cfg.x, cfg.f, direction, np.zeros(2), 0.1 * E2, 1.0,
+                                form=flow[-1])
             else:
                 s0 = CotangentState(x=np.zeros(2), y=np.zeros(4), a=direction,
                                     b=np.zeros(4))
@@ -362,25 +383,24 @@ class TestMetricValidation:
         m = re.search(r"at t = (\S+) with state \[([^\]]*)\]", str(info.value))
         assert m is not None
         assert abs(float(m.group(1)) - 0.5) < 1e-3
-        assert len(m.group(2).split(",")) == 11
+        assert len(m.group(2).split(",")) == develop_layout(2).size
 
     def test_degenerating_metric_caught_at_chunk_boundary(self):
         # g = diag(1, 1 - x0) turns indefinite past x0 = 1.  Its derivative is
         # supplied as zero, so the transport stays smooth through the
         # degeneracy and only the metric check can see it.
-        chart = ChartMetric(dim=2, g=lambda x: np.diag([1.0, 1.0 - x[0]]),
-                            dg=lambda x: np.zeros((2, 2, 2)), label="degenerating")
+        seen = []  # x0 at each metric evaluation
+
+        def g(x):
+            seen.append(x[0])
+            return np.diag([1.0, 1.0 - x[0]])
+
+        chart = ChartMetric(dim=2, g=g, dg=lambda x: np.zeros((2, 2, 2)), label="degenerating")
         x0 = np.array([0.6, 0.0])
         direction = np.array([1.0, 0.0])
-        clocks = []
-
-        def curve(t):
-            clocks.append(t)
-            return x0 + t * direction
-
         cfg = RollingConfiguration(chart=chart, chart_hat=PLANE, x=x0, xhat=np.zeros(2),
                                    f=np.diag([1.0, 1.0 / np.sqrt(0.4)]), fhat=np.eye(2))
         with pytest.raises(SingularMetricError, match="degenerating"):
-            develop(cfg, curve, lambda t: direction, 2.0)
-        # x0 passes 1 at t = 0.4; the first chunk boundary is at t = 0.5
-        assert max(clocks) <= 0.5 + 1e-8
+            develop(cfg, lambda t: x0 + t * direction, lambda t: direction, 2.0)
+        # x0 passes 1 at t = 0.4; the first chunk boundary, t = 0.5, is at x0 = 1.1
+        assert max(seen) <= 1.1 + 1e-8
