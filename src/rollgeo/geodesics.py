@@ -37,18 +37,20 @@ and the frames by fdot = -g^-1 N f with N = (D + B^T - B) / 2, where
 D = sum_i X^i d_i g and B[l, m] = sum_i X^i d_l g_im are the metric
 derivative contracted with X = xdot (N is the Christoffel matrix
 Gamma(X) with its upper index lowered), and g^-1 = adj g / det g.  That is
-one metric evaluation, one metric derivative and one curvature per surface,
-all from one :class:`~rollgeo.geometry.MetricJet`, whose curvature is
-evaluated only by the flows that read it.
-The surface system takes a stack of states, one per row, and evaluates
-everything but the charts' own functions once for the whole stack; a
-single state is a stack of one.
+one ``metric_jet`` and one curvature per surface.  The surface system takes
+a stack of states, one per row, and evaluates them one at a time on Python
+floats: on 2-by-2 arrays numpy's fixed cost per call outweighs the
+arithmetic, so a single state costs about a third of what the same closed
+form costs on numpy arrays.  A metric with det g <= 0 gives inf or nan
+there, which the integrator rejects, never an exception.
 
-Every flow here and :func:`rollgeo.rolling.develop` move their frames by
-that one transport, in every dimension.  Above two dimensions the charge
-is a full skew matrix: the curvature forms come from the curvature tensor,
-one state at a time.  The reduced system takes the kernel on the 2-point
-stack (x, xhat): u = a (cos theta, sin theta), and its memory channels
+The other flows here and :func:`rollgeo.rolling.develop` move their frames
+by the same transport, from :class:`~rollgeo.geometry.MetricJet`, whose
+frame rate the tests pin to the surface system's.  Above two dimensions
+``geodesic_rhs`` takes the kernel too, and the charge is a full skew
+matrix: the curvature forms come from the curvature tensor, one state at a
+time.  The reduced system takes the kernel on the 2-point stack
+(x, xhat): u = a (cos theta, sin theta), and its memory channels
 need kappadot = d kappa . xdot, one central difference of the curvature
 per surface.  Form "a" of the flat-target flow pairs the running charge
 lam0 + w v0^T - v0 w^T with the curvature forms, on surfaces in the closed
@@ -69,6 +71,7 @@ frames between chunks, and the runs read it back through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -229,44 +232,55 @@ def geodesic_rhs(chart: ChartMetric, chart_hat: ChartMetric, t: float, z: Array)
                        lam=np.outer(u, v) - np.outer(v, u))
 
 
-# Slots of the surface state; x, xhat are adjacent, and so are f, fhat.
-_SIZE, _SLOTS = geodesic_layout(2).size, geodesic_layout(2).slices
-_POINTS = slice(_SLOTS["x"].start, _SLOTS["xhat"].stop)
-_FRAMES = slice(_SLOTS["f"].start, _SLOTS["fhat"].stop)
-_UV = slice(_SLOTS["u"].start, _SLOTS["v"].stop)
-_L = _SLOTS["lam"].start
-
-# (k, khat) @ _CHARGE_SPLIT is (k - khat, khat), the coefficients of udot and vdot.
-_CHARGE_SPLIT = np.array([[1.0, 0.0], [-1.0, 1.0]])
+# Size of the surface state; ``_surface_rhs`` unpacks its slots in the order of
+# ``geodesic_layout(2)``: x, xhat, f, fhat, u, v and the scalar charge L.
+_SIZE = geodesic_layout(2).size
 
 
-def _frame_det(f: Array) -> Array:
-    """det f of each 2-by-2 matrix of a stack."""
-    return f[..., 0, 0] * f[..., 1, 1] - f[..., 0, 1] * f[..., 1, 0]
+def _surface_rate(chart: ChartMetric, x: Array, f00: float, f01: float, f10: float,
+                  f11: float, u0: float, u1: float) -> tuple:
+    """xdot = f u, fdot and k = kappa rho det f of one surface, on Python floats.
+
+    fdot = adj g (B - B^T - D) f / (2 det g), with D = sum_i xdot^i d_i g and
+    B[l, m] = sum_i xdot^i d_l g_im, as in :meth:`MetricJet.frame_rate`.  A
+    metric with det g <= 0 gives inf or nan, never an exception.
+    """
+    g, dg = chart.metric_jet(x)
+    (g00, g01), (g10, g11) = g.tolist()
+    ((p00, p01), (p10, p11)), ((q00, q01), (q10, q11)) = dg.tolist()  # d_0 g, d_1 g
+    a, b = f00 * u0 + f01 * u1, f10 * u0 + f11 * u1
+    w = a * (p01 - q00) + b * (p11 - q10)  # B_01 - B_10
+    m00, m01 = -(a * p00 + b * q00), w - (a * p01 + b * q01)
+    m10, m11 = -w - (a * p10 + b * q10), -(a * p11 + b * q11)
+    n00, n01 = m00 * f00 + m01 * f10, m00 * f01 + m01 * f11  # (B - B^T - D) f
+    n10, n11 = m10 * f00 + m11 * f10, m10 * f01 + m11 * f11
+    det = g00 * g11 - g01 * g10
+    s = 0.5 / det if det else math.copysign(math.inf, det)
+    kappa = float(chart.kappa(x)) if chart.kappa is not None else gauss_curvature(chart, x)
+    rho = math.sqrt(det) if det >= 0.0 else math.nan
+    return (a, b, (g11 * n00 - g01 * n10) * s, (g11 * n01 - g01 * n11) * s,
+            (g00 * n10 - g10 * n00) * s, (g00 * n11 - g10 * n01) * s,
+            kappa * rho * (f00 * f11 - f01 * f10))
 
 
 def _surface_rhs(chart: ChartMetric, chart_hat: ChartMetric, z: Array) -> Array:
     """``geodesic_rhs`` for surfaces, in the closed form of the module docstring.
 
-    The m states of the stack give 2m points of one :class:`MetricJet`,
-    ``chart`` at the even rows and ``chart_hat`` at the odd ones.
+    Each state is read as Python floats and evaluated on its own: on 2-by-2
+    metrics numpy's cost per call outweighs the arithmetic.
     """
     zs = z.reshape(-1, _SIZE)
-    m = len(zs)
-    xs, fs = zs[:, _POINTS].reshape(2 * m, 2), zs[:, _FRAMES].reshape(2 * m, 2, 2)
-    u, v, L = zs[:, _SLOTS["u"]], zs[:, _SLOTS["v"]], zs[:, _L:_L + 1]
-    jet = MetricJet((chart, chart_hat) * m, xs)
-    xdot = (fs.reshape(m, 2, 2, 2) @ u[:, None, :, None]).reshape(2 * m, 2)
-    fdot = jet.frame_rate(xdot, fs)
-    k = jet.kappa * jet.rho * _frame_det(fs)
-    ju = u @ E2  # (-u_1, u_0)
-    out = np.empty((m, _SIZE))
-    out[:, _POINTS] = xdot.reshape(m, 4)
-    out[:, _FRAMES] = fdot.reshape(m, 8)
-    out[:, _UV] = ((L * (k.reshape(m, 2) @ _CHARGE_SPLIT))[:, :, None]
-                   * ju[:, None, :]).reshape(m, 4)
-    out[:, _L] = (ju * v).sum(1)
-    return out.reshape(z.shape)
+    rows = []
+    for i, (x0, x1, y0, y1, f00, f01, f10, f11, h00, h01, h10, h11,
+            u0, u1, v0, v1, L) in enumerate(zs.tolist()):
+        a, b, e00, e01, e10, e11, k = _surface_rate(chart, zs[i, 0:2], f00, f01, f10, f11,
+                                                    u0, u1)
+        ah, bh, eh00, eh01, eh10, eh11, kh = _surface_rate(chart_hat, zs[i, 2:4], h00, h01,
+                                                          h10, h11, u0, u1)
+        c, ch = L * (k - kh), L * kh
+        rows.append((a, b, ah, bh, e00, e01, e10, e11, eh00, eh01, eh10, eh11,
+                     -c * u1, c * u0, -ch * u1, ch * u0, u0 * v1 - u1 * v0))
+    return np.array(rows).reshape(z.shape)
 
 
 def integrate_geodesic(
@@ -550,7 +564,8 @@ def rn_rolling_flow(
 
             def force(jet, f, u, w):
                 ell = ell0 + w[0] * v01 - w[1] * v00
-                return ell * jet.kappa[0] * jet.rho[0] * _frame_det(f) * (u @ E2)
+                det_f = f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0]
+                return ell * jet.kappa[0] * jet.rho[0] * det_f * (u @ E2)
         else:
             def force(jet, f, u, w):
                 lam = lam0 + np.outer(w, v0) - np.outer(v0, w)

@@ -14,14 +14,16 @@ Index conventions, fixed once for the whole library:
   regression test pins this sign and the geodesic equations in
   :mod:`rollgeo.geodesics` are locked against it.
 
-:class:`MetricJet` is the kernel of the rolling flows in every dimension:
-one metric jet per point of a stack and the parallel frame transport from
+:class:`MetricJet` is the kernel of the reduced, developed and flat-target
+(form "a") flows, and of the geodesic flow above two dimensions: one
+metric jet per point of a stack and the parallel frame transport from
 adj g / det g, plus, on surfaces, one curvature per point and its rate
-along a velocity.  Those flows transport their frames without
-``christoffel``, and on a chart with an analytic ``kappa`` the surface
-flows need no ``gauss_curvature``.  Above two dimensions the curvature
-forms still come from the curvature tensor, which also serves the
-independent checks and the tests' oracles.
+along a velocity.  The surface geodesic flow evaluates the same transport
+on Python floats, one state at a time (:mod:`rollgeo.geodesics`).  These
+flows transport their frames without ``christoffel``, and on a chart with
+an analytic ``kappa`` the surface flows need no ``gauss_curvature``.
+Above two dimensions the curvature forms still come from the curvature
+tensor, which also serves the independent checks and the tests' oracles.
 """
 
 from __future__ import annotations
@@ -178,7 +180,11 @@ def adjugate(a: Array) -> tuple[Array, Array]:
 
 
 class MetricJet:
-    """The kernel of the rolling flows: metric jets of a stack of chart points.
+    """Metric jets of a stack of chart points, and the frame transport they give.
+
+    The kernel of ``reduce_2d``, ``develop``, form "a" of ``rn_rolling_flow``
+    and ``geodesic_rhs`` above two dimensions; ``geodesic_rhs`` on surfaces
+    repeats :meth:`frame_rate` on Python floats.
 
     Point ``xs[i]`` lies on ``charts[i]``, and all charts have one dimension.
     Construction evaluates each chart's ``metric_jet`` once per point and

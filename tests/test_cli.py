@@ -252,6 +252,28 @@ class TestRunErrors:
         assert result.exit_code == 3
         assert "field 'xhat'" in result.output and "not positive definite" in result.output
 
+    @pytest.mark.parametrize("kind, start", [
+        ("geodesic", {"u": [1.0, 0.0]}),
+        ("bvp", {"true_params": [0.0, 0.05, 0.02, 0.1]}),
+    ])
+    def test_metric_degenerating_in_a_run_is_numerical_failure(self, runner, tmp_path,
+                                                               monkeypatch, kind, start):
+        # g = diag(1, 1 - x0) is singular at x0 = 1 and indefinite past it; a
+        # start at x0 = 0.8 heading along +x0 reaches it at t = 0.2.  Its
+        # derivative is supplied as zero, so the right-hand side is finite
+        # before and turns non-finite there, and the integrator must fail.
+        monkeypatch.setitem(chart_catalog._CATALOG, "degenerating", lambda: ChartMetric(
+            dim=2, g=lambda x: np.diag([1.0, 1.0 - x[0]]), dg=lambda x: np.zeros((2, 2, 2)),
+            kappa=lambda x: 1.0, label="degenerating"))
+        scenario = scenario_by_name(f"sphere-on-plane-{kind}")
+        scenario.update(chart="degenerating", x=[0.8, 0.0], T=1.0, **start)
+        path = tmp_path / "degenerating.json"
+        path.write_text(json.dumps(scenario))
+        result = _run(runner, "run", str(path), "--output-dir", str(tmp_path / "out"))
+        assert result.exit_code == 4
+        assert "integrator failed at t = 0.2" in result.output
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("command, target", [
         (["run", "sphere-on-plane-geodesic"], "execute_scenario"),
         (["verify", "first-integrals"], "run_suite"),
@@ -325,14 +347,18 @@ class TestRunArtifacts:
 
     def test_reruns_are_byte_identical(self, runner, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
+        runs = {"sphere-on-plane-pendulum": ("2", "40"),
+                "sphere-on-plane-geodesic": ("1", "20"),
+                "sphere-on-plane-bvp": ("1", "20")}
         for out in (a, b):
-            result = _run(runner, "run", "sphere-on-plane-pendulum", "--T", "2",
-                          "--output-dir", str(out), "--samples", "40")
-            assert result.exit_code == 0
-        name = "sphere-on-plane-pendulum"
-        assert (a / f"{name}.csv").read_bytes() == (b / f"{name}.csv").read_bytes()
-        assert (a / f"{name}.summary.json").read_bytes() == \
-            (b / f"{name}.summary.json").read_bytes()
+            for name, (T, samples) in runs.items():
+                result = _run(runner, "run", name, "--T", T, "--output-dir", str(out),
+                              "--samples", samples)
+                assert result.exit_code == 0, result.output
+        for name in runs:
+            assert (a / f"{name}.csv").read_bytes() == (b / f"{name}.csv").read_bytes()
+            assert (a / f"{name}.summary.json").read_bytes() == \
+                (b / f"{name}.summary.json").read_bytes()
 
     @pytest.mark.parametrize("name", ["sphere-great-circle-develop",
                                       "sphere-on-plane-geodesic",

@@ -192,12 +192,14 @@ def _close(got, want):
 class TestRightHandSide:
     """``geodesic_rhs`` against the equations assembled from the tensor route."""
 
-    CASES = list(itertools.product(_SURFACES, repeat=2)) + [
+    PAIRS = list(itertools.product(_SURFACES, repeat=2))
+
+    CASES = PAIRS + [
         ("bumpy", "sphere(1)"), ("sphere(1)", "bumpy"),
         ("conformal(0.3)", "conformal(-0.1)"),
     ]
 
-    STACK_CASES = list(itertools.product(_SURFACES, repeat=2)) + [
+    STACK_CASES = PAIRS + [
         ("conformal(0.3)", "conformal(-0.1)"),
     ]
 
@@ -226,15 +228,55 @@ class TestRightHandSide:
 
     @pytest.mark.parametrize("names", STACK_CASES, ids=["-on-".join(c) for c in STACK_CASES])
     def test_stack_rows_are_the_single_states(self, names):
-        # row k of a stack, given as rows or flat, is the call on state k alone
+        # row k of a stack, given as rows or flat, is the call on state k alone;
+        # a shooting Jacobian stacks 5 states and flow_residual 200
         chart, chart_hat = self._charts(names)
         rng = np.random.default_rng(11)
-        zs = np.array([self._random_state(chart, chart_hat, rng) for _ in range(4)])
-        stacked = geodesic_rhs(chart, chart_hat, 0.0, zs)
-        assert stacked.shape == zs.shape
-        assert np.array_equal(geodesic_rhs(chart, chart_hat, 0.0, zs.ravel()), stacked.ravel())
-        for z, row in zip(zs, stacked):
-            assert np.array_equal(geodesic_rhs(chart, chart_hat, 0.0, z), row)
+        for rows in (5, 200):
+            zs = np.array([self._random_state(chart, chart_hat, rng) for _ in range(rows)])
+            stacked = geodesic_rhs(chart, chart_hat, 0.0, zs)
+            assert stacked.shape == zs.shape
+            assert np.array_equal(geodesic_rhs(chart, chart_hat, 0.0, zs.ravel()),
+                                  stacked.ravel())
+            for z, row in zip(zs, stacked):
+                assert np.array_equal(geodesic_rhs(chart, chart_hat, 0.0, z), row)
+
+    @pytest.mark.parametrize("names", PAIRS, ids=["-on-".join(c) for c in PAIRS])
+    def test_frame_rate_is_the_metric_jet_transport(self, names):
+        # the surface kernel and MetricJet, which moves the frames of the other
+        # flows, are one transport: they agree to rounding on every catalog pair
+        chart, chart_hat = self._charts(names)
+        rng = np.random.default_rng(29)
+        zs = np.array([self._random_state(chart, chart_hat, rng) for _ in range(5)])
+        d = geodesic_layout(2).split(zs)
+        fs = np.stack([d["f"], d["fhat"]], axis=1).reshape(-1, 2, 2)
+        xdot = (fs @ np.repeat(d["u"], 2, axis=0)[:, :, None])[:, :, 0]
+        jet = MetricJet((chart, chart_hat) * len(zs),
+                        np.stack([d["x"], d["xhat"]], axis=1).reshape(-1, 2))
+        want = jet.frame_rate(xdot, fs).reshape(len(zs), 2, 2, 2)
+        got = geodesic_layout(2).split(geodesic_rhs(chart, chart_hat, 0.0, zs))
+        for side, f in enumerate(("f", "fhat")):
+            assert np.abs(got[f] - want[:, side]).max() <= 1e-14 * (1.0 + np.abs(want).max())
+
+    @pytest.mark.parametrize("x0", [1.0, 1.2], ids=["singular", "indefinite"])
+    def test_degenerate_metric_gives_non_finite_rates(self, x0):
+        # g = diag(1, 1 - x_0) has det g = 0 at x_0 = 1 and det g < 0 past it:
+        # the kernel returns inf or nan there, for the integrator to reject,
+        # and leaves the other rows of a stack alone
+        def dg(x):
+            out = np.zeros((2, 2, 2))
+            out[0, 1, 1] = -1.0
+            return out
+
+        chart = charts.ChartMetric(dim=2, g=lambda x: np.diag([1.0, 1.0 - x[0]]), dg=dg,
+                                   kappa=lambda x: 0.25, label="degenerating")
+        rng = np.random.default_rng(31)
+        good = self._random_state(chart, PLANE, rng)
+        bad = good.copy()
+        bad[geodesic_layout(2).slices["x"]] = x0, 0.0
+        out = geodesic_rhs(chart, PLANE, 0.0, np.array([good, bad]))
+        assert not np.isfinite(out[1]).all()
+        assert np.array_equal(out[0], geodesic_rhs(chart, PLANE, 0.0, good))
 
 
 # The 2D charts of the surface-kernel oracles: the catalog's six, plus one
