@@ -37,24 +37,25 @@ and the frames by fdot = -g^-1 N f with N = (D + B^T - B) / 2, where
 D = sum_i X^i d_i g and B[l, m] = sum_i X^i d_l g_im are the metric
 derivative contracted with X = xdot (N is the Christoffel matrix
 Gamma(X) with its upper index lowered), and g^-1 = adj g / det g.  That is
-one ``metric_jet`` and one curvature per surface.  The surface system takes
-a stack of states, one per row, and evaluates them one at a time on Python
-floats: on 2-by-2 arrays numpy's fixed cost per call outweighs the
-arithmetic, so a single state costs about a third of what the same closed
-form costs on numpy arrays.  A metric with det g <= 0 gives inf or nan
-there, which the integrator rejects, never an exception.
+the surface kernel :func:`rollgeo.geometry.surface_rate`: one
+``metric_jet`` and one curvature per surface, on Python floats, since on
+2-by-2 arrays numpy's fixed cost per call outweighs the arithmetic.  The
+surface system takes a stack of states, one per row, and evaluates them
+one at a time.  A metric with det g <= 0 gives nan there, which the
+integrator rejects, never an exception.
 
-The other flows here and :func:`rollgeo.rolling.develop` move their frames
-by the same transport, from :class:`~rollgeo.geometry.MetricJet`, whose
-frame rate the tests pin to the surface system's.  Above two dimensions
-``geodesic_rhs`` takes the kernel too, and the charge is a full skew
-matrix: the curvature forms come from the curvature tensor, one state at a
-time.  The reduced system takes the kernel on the 2-point stack
-(x, xhat): u = a (cos theta, sin theta), and its memory channels
-need kappadot = d kappa . xdot, one central difference of the curvature
-per surface.  Form "a" of the flat-target flow pairs the running charge
-lam0 + w v0^T - v0 w^T with the curvature forms, on surfaces in the closed
-form with the scalar ell + w_0 v_1 - w_1 v_0.  Two paths stay on the
+The reduced system reads both charts through the same kernel, with
+u = a (cos theta, sin theta); its memory channels need kappadot =
+d kappa . xdot, one central difference of the curvature per surface
+(:func:`rollgeo.geometry.surface_kappa_rate`).  Form "a" of the
+flat-target flow pairs the running charge lam0 + w v0^T - v0 w^T with the
+curvature forms; on a surface that is the kernel with the scalar charge
+ell + w_0 v_1 - w_1 v_0.  Above two dimensions ``geodesic_rhs`` and
+form "a", and :func:`rollgeo.rolling.develop` in every dimension, move
+their frames by the same transport on numpy stacks,
+:class:`~rollgeo.geometry.MetricJet`, whose frame rate the tests pin to the
+kernel's; there the charge is a full skew matrix and the curvature forms
+come from the curvature tensor, one state at a time.  Two paths stay on the
 Christoffel symbols on purpose, so that the checks compare independent
 code: the transport of form "b" and the slip and twist residual of
 :func:`rollgeo.rolling.noslip_notwist_residual`.  Form "b" pairs the
@@ -81,7 +82,7 @@ import numpy as np
 from .charts import Array, ChartMetric
 from .errors import DimensionError
 from .geometry import (MetricJet, christoffel, curvature_form_from_lowered, gauss_curvature,
-                       riemann, surface_kappa)
+                       riemann, surface_kappa, surface_kappa_rate, surface_rate)
 from .integrate import (DEFAULT_TOL, DENSE_MAX_STEP, DERIV_STEP, Skew, StateLayout,
                         Trajectory, integrate)
 from .integrate import skew_to_vec, vec_to_skew  # noqa: F401 (re-exported)
@@ -109,13 +110,7 @@ def geodesic_layout(n: int) -> StateLayout:
 PENDULUM_LAYOUT = StateLayout(x=2, xhat=2, f=(2, 2), fhat=(2, 2), theta=(), L=(),
                               b1=(), b2=(), C=(), S=())
 
-# Slots of the reduced state: the contact points, the frames, (theta, L, b1,
-# b2) and (C, S), each adjacent.
 _PEND = PENDULUM_LAYOUT.slices
-_PEND_POINTS = slice(_PEND["x"].start, _PEND["xhat"].stop)
-_PEND_FRAMES = slice(_PEND["f"].start, _PEND["fhat"].stop)
-_PEND_SCALARS = slice(_PEND["theta"].start, _PEND["b2"].stop)
-_PEND_MEMORY = slice(_PEND["C"].start, _PEND["S"].stop)
 
 
 @lru_cache(maxsize=None)
@@ -207,6 +202,9 @@ def geodesic_rhs(chart: ChartMetric, chart_hat: ChartMetric, t: float, z: Array)
 
     ``z`` is one state or a stack of states, one per row; a flat vector of
     several states is read as their stack.  The result has the shape of ``z``.
+    Surfaces take the float kernel of the module docstring.  The branch above
+    two dimensions serves the general flow that ``rn-roll`` compares form "a"
+    with (its ``general_agreement``), which runs in every dimension.
     """
     n = chart.dim
     if n == 2:
@@ -237,32 +235,6 @@ def geodesic_rhs(chart: ChartMetric, chart_hat: ChartMetric, t: float, z: Array)
 _SIZE = geodesic_layout(2).size
 
 
-def _surface_rate(chart: ChartMetric, x: Array, f00: float, f01: float, f10: float,
-                  f11: float, u0: float, u1: float) -> tuple:
-    """xdot = f u, fdot and k = kappa rho det f of one surface, on Python floats.
-
-    fdot = adj g (B - B^T - D) f / (2 det g), with D = sum_i xdot^i d_i g and
-    B[l, m] = sum_i xdot^i d_l g_im, as in :meth:`MetricJet.frame_rate`.  A
-    metric with det g <= 0 gives inf or nan, never an exception.
-    """
-    g, dg = chart.metric_jet(x)
-    (g00, g01), (g10, g11) = g.tolist()
-    ((p00, p01), (p10, p11)), ((q00, q01), (q10, q11)) = dg.tolist()  # d_0 g, d_1 g
-    a, b = f00 * u0 + f01 * u1, f10 * u0 + f11 * u1
-    w = a * (p01 - q00) + b * (p11 - q10)  # B_01 - B_10
-    m00, m01 = -(a * p00 + b * q00), w - (a * p01 + b * q01)
-    m10, m11 = -w - (a * p10 + b * q10), -(a * p11 + b * q11)
-    n00, n01 = m00 * f00 + m01 * f10, m00 * f01 + m01 * f11  # (B - B^T - D) f
-    n10, n11 = m10 * f00 + m11 * f10, m10 * f01 + m11 * f11
-    det = g00 * g11 - g01 * g10
-    s = 0.5 / det if det else math.copysign(math.inf, det)
-    kappa = float(chart.kappa(x)) if chart.kappa is not None else gauss_curvature(chart, x)
-    rho = math.sqrt(det) if det >= 0.0 else math.nan
-    return (a, b, (g11 * n00 - g01 * n10) * s, (g11 * n01 - g01 * n11) * s,
-            (g00 * n10 - g10 * n00) * s, (g00 * n11 - g10 * n01) * s,
-            kappa * rho * (f00 * f11 - f01 * f10))
-
-
 def _surface_rhs(chart: ChartMetric, chart_hat: ChartMetric, z: Array) -> Array:
     """``geodesic_rhs`` for surfaces, in the closed form of the module docstring.
 
@@ -273,10 +245,10 @@ def _surface_rhs(chart: ChartMetric, chart_hat: ChartMetric, z: Array) -> Array:
     rows = []
     for i, (x0, x1, y0, y1, f00, f01, f10, f11, h00, h01, h10, h11,
             u0, u1, v0, v1, L) in enumerate(zs.tolist()):
-        a, b, e00, e01, e10, e11, k = _surface_rate(chart, zs[i, 0:2], f00, f01, f10, f11,
-                                                    u0, u1)
-        ah, bh, eh00, eh01, eh10, eh11, kh = _surface_rate(chart_hat, zs[i, 2:4], h00, h01,
-                                                          h10, h11, u0, u1)
+        a, b, e00, e01, e10, e11, _, k = surface_rate(chart, zs[i, 0:2], f00, f01, f10, f11,
+                                                      u0, u1)
+        ah, bh, eh00, eh01, eh10, eh11, _, kh = surface_rate(chart_hat, zs[i, 2:4], h00, h01,
+                                                            h10, h11, u0, u1)
         c, ch = L * (k - kh), L * kh
         rows.append((a, b, ah, bh, e00, e01, e10, e11, eh00, eh01, eh10, eh11,
                      -c * u1, c * u0, -ch * u1, ch * u0, u0 * v1 - u1 * v0))
@@ -389,8 +361,9 @@ class PendulumRun(RollingRun):
 
 def _contact_curvatures(chart: ChartMetric, chart_hat: ChartMetric, zs: Array) -> Array:
     """kappa at x and kappahat at xhat, one entry per row of a stack of reduced states."""
-    points = zs[:, _PEND_POINTS].reshape(-1, 2)
-    return surface_kappa((chart, chart_hat) * len(zs), points).reshape(-1, 2).T
+    x, xhat = _PEND["x"], _PEND["xhat"]
+    return np.array([(surface_kappa(chart, z[x]), surface_kappa(chart_hat, z[xhat]))
+                     for z in zs]).T
 
 
 def reduce_2d(
@@ -410,27 +383,28 @@ def reduce_2d(
     chart, chart_hat = s0.cfg.chart, s0.cfg.chart_hat
     if chart.dim != 2:
         raise DimensionError("reduce_2d requires surfaces")
-    a = s0.a
-    charts = (chart, chart_hat)
+    a = float(s0.a)
+    x_slot, xhat_slot = _PEND["x"], _PEND["xhat"]
 
     def rhs(t, z):
-        theta, L, b1, b2 = z[_PEND_SCALARS]
-        c, s = np.cos(theta), np.sin(theta)
-        fs = z[_PEND_FRAMES].reshape(2, 2, 2)
-        jet = MetricJet(charts, z[_PEND_POINTS].reshape(2, 2))
-        xdot = fs @ (a * np.array([c, s]))  # rows: xdot = f u, xhatdot = fhat u
-        kap, kaphat = jet.kappa
-        kapdot, kaphatdot = jet.kappa_rate(xdot)
+        (_, _, _, _, f00, f01, f10, f11, h00, h01, h10, h11,
+         theta, L, b1, b2, _, _) = z.tolist()
+        # math.cos raises on an infinite angle: such a state gives nan instead,
+        # for the integrator to reject
+        c, s = (math.nan, math.nan) if math.isinf(theta) else (math.cos(theta), math.sin(theta))
+        x, xhat, u0, u1 = z[x_slot], z[xhat_slot], a * c, a * s
+        p0, p1, e00, e01, e10, e11, kap, _ = surface_rate(chart, x, f00, f01, f10, f11, u0, u1)
+        q0, q1, eh00, eh01, eh10, eh11, kaphat, _ = surface_rate(chart_hat, xhat, h00, h01,
+                                                                 h10, h11, u0, u1)
+        kapdot = surface_kappa_rate(chart, x, p0, p1)
+        kaphatdot = surface_kappa_rate(chart_hat, xhat, q0, q1)
         gap = kap - kaphat
         thetadot = L * gap
         rho = 1.0 / gap if abs(gap) >= RHO_FLOOR else 0.0
         w = rho * rho * (kap * kaphatdot - kapdot * kaphat)
-        out = np.empty(PENDULUM_LAYOUT.size)
-        out[_PEND_POINTS] = xdot.ravel()
-        out[_PEND_FRAMES] = jet.frame_rate(xdot, fs).ravel()
-        out[_PEND_SCALARS] = thetadot, a * b2, thetadot * b2, a * L * kaphat - thetadot * b1
-        out[_PEND_MEMORY] = c * w, s * w
-        return out
+        return np.array((p0, p1, q0, q1, e00, e01, e10, e11, eh00, eh01, eh10, eh11,
+                         thetadot, a * b2, thetadot * b2, a * L * kaphat - thetadot * b1,
+                         c * w, s * w))
 
     z0 = PENDULUM_LAYOUT.pack(x=s0.cfg.x, xhat=s0.cfg.xhat, f=s0.cfg.f, fhat=s0.cfg.fhat,
                               theta=s0.theta, L=s0.L, b1=s0.b1, b2=s0.b2, C=0.0, S=0.0)
@@ -542,11 +516,12 @@ def rn_rolling_flow(
 
     with Om_j = Om(f u, f_j) from :func:`curvature_forms_along`, and y0 = 0.
     It is integrated as an independent code path: form "a" moves its frame
-    with the kernel :class:`~rollgeo.geometry.MetricJet` (and on a surface
-    carries the scalar charge), and form "b" with the Christoffel symbols,
-    taking its curvature forms on a surface from the metric and
-    ``gauss_curvature`` and above two dimensions from one Riemann tensor per
-    right-hand side.  State layout for both: ``rn_layout``, ``[x, f, u, w]``,
+    with the surface kernel :func:`~rollgeo.geometry.surface_rate` on a
+    surface, where it carries the scalar charge, and with
+    :class:`~rollgeo.geometry.MetricJet` above; form "b" moves it with the
+    Christoffel symbols, taking its curvature forms on a surface from the
+    metric and ``gauss_curvature`` and above two dimensions from one Riemann
+    tensor per right-hand side.  State layout for both: ``rn_layout``, ``[x, f, u, w]``,
     with the w slot holding y in form "b".
     """
     n = chart.dim
@@ -556,30 +531,27 @@ def rn_rolling_flow(
     if form not in ("a", "b"):
         raise ValueError("form must be 'a' or 'b'")
     x_slot, f_slot, u_slot, w_slot = (layout.slices[name] for name in "xfuw")
-    if form == "a":
-        if n == 2:
-            # lam = ell E2 with ell = lam0_01 + w_0 v0_1 - w_1 v0_0, in the closed
-            # form of the module docstring: udot = ell k (-u_1, u_0), k = kappa rho det f.
-            ell0, (v00, v01) = lam0[0, 1], v0
-
-            def force(jet, f, u, w):
-                ell = ell0 + w[0] * v01 - w[1] * v00
-                det_f = f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0]
-                return ell * jet.kappa[0] * jet.rho[0] * det_f * (u @ E2)
-        else:
-            def force(jet, f, u, w):
-                lam = lam0 + np.outer(w, v0) - np.outer(v0, w)
-                om = curvature_forms_along(chart, jet.xs[0], f, f @ u)
-                return np.array([pair(lam, om[j]) for j in range(n)])
+    if form == "a" and n == 2:
+        # lam = ell E2 with ell = lam0_01 + w_0 v0_1 - w_1 v0_0, in the closed
+        # form of the module docstring: udot = ell k (-u_1, u_0), k = kappa rho det f.
+        ell0, (v00, v01) = float(lam0[0, 1]), v0.tolist()
 
         def rhs(t, z):
-            f, u, w = z[f_slot].reshape(1, n, n), z[u_slot], z[w_slot]
-            jet = MetricJet((chart,), [z[x_slot]])
+            _, _, f00, f01, f10, f11, u0, u1, w0, w1 = z.tolist()
+            a, b, e00, e01, e10, e11, _, k = surface_rate(chart, z[x_slot], f00, f01, f10,
+                                                          f11, u0, u1)
+            c = (ell0 + w0 * v01 - w1 * v00) * k
+            return np.array((a, b, e00, e01, e10, e11, -c * u1, c * u0, u0, u1))
+    elif form == "a":
+        def rhs(t, z):
+            x, f, u, w = z[x_slot], z[f_slot].reshape(n, n), z[u_slot], z[w_slot]
             xdot = f @ u
+            lam = lam0 + np.outer(w, v0) - np.outer(v0, w)
+            om = curvature_forms_along(chart, x, f, xdot)
             out = np.empty(layout.size)
-            out[x_slot] = xdot[0]
-            out[f_slot] = jet.frame_rate(xdot, f).ravel()
-            out[u_slot] = force(jet, f[0], u, w)
+            out[x_slot] = xdot
+            out[f_slot] = MetricJet((chart,), [x]).frame_rate(xdot[None], f[None]).ravel()
+            out[u_slot] = [pair(lam, om[j]) for j in range(n)]
             out[w_slot] = u
             return out
     else:

@@ -14,22 +14,24 @@ Index conventions, fixed once for the whole library:
   regression test pins this sign and the geodesic equations in
   :mod:`rollgeo.geodesics` are locked against it.
 
-:class:`MetricJet` is the kernel of the reduced, developed and flat-target
-(form "a") flows, and of the geodesic flow above two dimensions: one
-metric jet per point of a stack and the parallel frame transport from
-adj g / det g, plus, on surfaces, one curvature per point and its rate
-along a velocity.  The surface geodesic flow evaluates the same transport
-on Python floats, one state at a time (:mod:`rollgeo.geodesics`).  These
-flows transport their frames without ``christoffel``, and on a chart with
-an analytic ``kappa`` the surface flows need no ``gauss_curvature``.
-Above two dimensions the curvature forms still come from the curvature
-tensor, which also serves the independent checks and the tests' oracles.
+:func:`surface_rate` is the one surface kernel: at one contact point of a
+surface flow it gives, on Python floats, the contact velocity xdot = f u,
+the parallel frame rate fdot from adj g / det g, the Gaussian curvature
+kappa of :func:`surface_kappa` and k = kappa rho det f.  The geodesic
+flow, the reduced flow and form "a" of the flat-target flow read their
+charts through it and call no ``christoffel``; on a chart with an analytic
+``kappa`` they need no ``gauss_curvature`` either.  :class:`MetricJet` is
+the same frame transport on numpy stacks, for the developed flow in every
+dimension and for the flows above two dimensions, whose curvature forms
+still come from the curvature tensor; that tensor also serves the
+independent checks and the tests' oracles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -157,10 +159,43 @@ def gauss_curvature_tensor(chart: ChartMetric, x: Array) -> float:
     return float(low[0, 1, 0, 1] / np.linalg.det(chart.metric(x)))
 
 
-def surface_kappa(charts: Sequence[ChartMetric], xs: Array) -> Array:
-    """Gaussian curvature at each point of a stack, ``charts[i]`` at ``xs[i]``."""
-    return np.fromiter([c.kappa(x) if c.kappa is not None else gauss_curvature(c, x)
-                        for c, x in zip(charts, xs)], float, len(xs))
+def surface_kappa(chart: ChartMetric, x: Array) -> float:
+    """Gaussian curvature at ``x``: the chart's analytic ``kappa``, else ``gauss_curvature``."""
+    return float(chart.kappa(x)) if chart.kappa is not None else gauss_curvature(chart, x)
+
+
+def surface_kappa_rate(chart: ChartMetric, x: Array, xdot0: float, xdot1: float) -> float:
+    """kappadot = d kappa . xdot at ``x``, by one ``central_diff`` of :func:`surface_kappa`."""
+    d0, d1 = central_diff(lambda p: surface_kappa(chart, p), x).tolist()
+    return d0 * xdot0 + d1 * xdot1
+
+
+def surface_rate(chart: ChartMetric, x: Array, f00: float, f01: float, f10: float,
+                 f11: float, u0: float, u1: float) -> tuple:
+    """``(xdot_0, xdot_1, fdot_00, fdot_01, fdot_10, fdot_11, kappa, k)`` at ``x``.
+
+    The surface kernel, on Python floats: xdot = f u, the parallel frame
+    rate fdot = adj g (B - B^T - D) f / (2 det g) with D = sum_i xdot^i d_i g
+    and B[l, m] = sum_i xdot^i d_l g_im, as in :meth:`MetricJet.frame_rate`,
+    the curvature kappa of :func:`surface_kappa`, and k = kappa rho det f
+    with rho = sqrt(det g).  A metric with det g <= 0 gives a nan fdot and k,
+    never an exception.
+    """
+    g, dg = chart.metric_jet(x)
+    (g00, g01), (g10, g11) = g.tolist()
+    ((p00, p01), (p10, p11)), ((q00, q01), (q10, q11)) = dg.tolist()  # d_0 g, d_1 g
+    a, b = f00 * u0 + f01 * u1, f10 * u0 + f11 * u1
+    w = a * (p01 - q00) + b * (p11 - q10)  # B_01 - B_10
+    m00, m01 = -(a * p00 + b * q00), w - (a * p01 + b * q01)
+    m10, m11 = -w - (a * p10 + b * q10), -(a * p11 + b * q11)
+    n00, n01 = m00 * f00 + m01 * f10, m00 * f01 + m01 * f11  # (B - B^T - D) f
+    n10, n11 = m10 * f00 + m11 * f10, m10 * f01 + m11 * f11
+    det = g00 * g11 - g01 * g10
+    s, rho = (0.5 / det, math.sqrt(det)) if det > 0.0 else (math.nan, math.nan)
+    kappa = surface_kappa(chart, x)
+    return (a, b, (g11 * n00 - g01 * n10) * s, (g11 * n01 - g01 * n11) * s,
+            (g00 * n10 - g10 * n00) * s, (g00 * n11 - g10 * n01) * s,
+            kappa, kappa * rho * (f00 * f11 - f01 * f10))
 
 
 # adj a is the transpose of _ADJ_SIGNS * a reversed along both axes, for 2-by-2 matrices.
@@ -182,39 +217,23 @@ def adjugate(a: Array) -> tuple[Array, Array]:
 class MetricJet:
     """Metric jets of a stack of chart points, and the frame transport they give.
 
-    The kernel of ``reduce_2d``, ``develop``, form "a" of ``rn_rolling_flow``
-    and ``geodesic_rhs`` above two dimensions; ``geodesic_rhs`` on surfaces
-    repeats :meth:`frame_rate` on Python floats.
-
-    Point ``xs[i]`` lies on ``charts[i]``, and all charts have one dimension.
-    Construction evaluates each chart's ``metric_jet`` once per point and
-    keeps dg, and adj g and det g from :func:`adjugate`.  On surfaces the
-    Gaussian curvature ``kappa`` is evaluated, once per point, on its first
-    read, and its rate only by ``kappa_rate``; both take a chart's analytic
-    ``kappa`` where it has one, else ``gauss_curvature``.
+    The numpy form of :func:`surface_rate`'s frame rate, for ``develop`` in
+    every dimension and for ``geodesic_rhs`` and form "a" of
+    ``rn_rolling_flow`` above two dimensions.  Point ``xs[i]`` lies on
+    ``charts[i]``, and all charts have one dimension.  Construction
+    evaluates each chart's ``metric_jet`` once per point and keeps dg, and
+    adj g and det g from :func:`adjugate`.
     """
 
-    __slots__ = ("charts", "xs", "dg", "adj", "det", "_kappa")
+    __slots__ = ("dg", "adj", "det")
 
     def __init__(self, charts: Sequence[ChartMetric], xs: Array):
         m, n = len(xs), charts[0].dim
         g, dg = np.empty((m, n, n)), np.empty((m, n, n, n))
         for i, (c, x) in enumerate(zip(charts, xs)):
             g[i], dg[i] = c.metric_jet(x)
-        self.charts, self.xs, self.dg, self._kappa = charts, xs, dg, None
+        self.dg = dg
         self.adj, self.det = adjugate(g)
-
-    @property
-    def kappa(self) -> Array:
-        """The Gaussian curvature at each surface point, from ``surface_kappa``."""
-        if self._kappa is None:
-            self._kappa = surface_kappa(self.charts, self.xs)
-        return self._kappa
-
-    @property
-    def rho(self) -> Array:
-        """The volume density sqrt(det g) at each point."""
-        return np.sqrt(self.det)
 
     def frame_rate(self, xdot: Array, f: Array) -> Array:
         """fdot = -g^-1 N f: frames ``f[i]`` parallel along ``xdot[i]``.
@@ -228,12 +247,6 @@ class MetricJet:
         B = (xdot[:, None, None, :] @ dg)[:, :, 0]
         D = (xdot[:, None, :] @ dg.reshape(m, dg.shape[1], -1)).reshape(B.shape)
         return (self.adj @ ((B - B.swapaxes(1, 2) - D) @ f)) / (2 * self.det)[:, None, None]
-
-    def kappa_rate(self, xdot: Array) -> Array:
-        """kappadot = d kappa . xdot at each surface point, by ``central_diff`` of the curvature."""
-        return np.array([
-            central_diff(c.kappa if c.kappa is not None else partial(gauss_curvature, c), x) @ v
-            for c, x, v in zip(self.charts, self.xs, xdot)])
 
 
 def sharp(chart: ChartMetric, x: Array, p: Array) -> Array:

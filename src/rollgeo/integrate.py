@@ -247,9 +247,10 @@ def integrate(
 
     ``margin(y)`` positive means in-domain; a zero crossing terminates the
     run and sets the ``truncated`` flag.  ``reproject`` is applied to the
-    state every ``CHUNK`` of time (drift correction); corrections are
-    expected to be below the integration tolerance; the largest is recorded
-    in ``meta`` as ``max_reprojection``, next to the cost of the run:
+    state every ``CHUNK`` of time, between two chunks and never after the
+    last (drift correction); corrections are expected to be below the
+    integration tolerance; the largest is recorded in ``meta`` as
+    ``max_reprojection``, next to the cost of the run:
     ``chunks``, the ``solve_ivp`` calls, ``rhs_evals``, the right-hand
     side evaluations, and ``steps``, the accepted steps, each
     summed over the chunks.  No step is longer than ``min(max_step, CHUNK)``
@@ -307,6 +308,10 @@ def integrate(
     t_cur, y_cur = t0, y0
     first_step = None  # solve_ivp picks the first chunk's first step
     while direction * (t_end - t_cur) > 1e-14:
+        if chunks and reproject is not None:  # between two chunks, never after the last
+            y_new = reproject(y_cur)
+            max_correction = max(max_correction, float(np.abs(y_new - y_cur).max()))
+            y_cur = y_new
         span = min(chunk, abs(t_end - t_cur))
         t_next = t_cur + direction * span
         res = solve_ivp(
@@ -339,10 +344,6 @@ def integrate(
         first_step = float(abs(last[1] - last[0]))
         t_cur = res.t[-1]
         y_cur = res.y[:, -1]
-        if reproject is not None:
-            y_new = reproject(y_cur)
-            max_correction = max(max_correction, float(np.abs(y_new - y_cur).max()))
-            y_cur = y_new
 
     t_all = np.concatenate(ts)
     return Trajectory(

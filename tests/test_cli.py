@@ -255,6 +255,8 @@ class TestRunErrors:
     @pytest.mark.parametrize("kind, start", [
         ("geodesic", {"u": [1.0, 0.0]}),
         ("bvp", {"true_params": [0.0, 0.05, 0.02, 0.1]}),
+        ("pendulum-2d", {"theta": 0.0, "L": 0.0}),
+        ("rn-roll", {"u": [1.0, 0.0]}),
     ])
     def test_metric_degenerating_in_a_run_is_numerical_failure(self, runner, tmp_path,
                                                                monkeypatch, kind, start):
@@ -265,7 +267,10 @@ class TestRunErrors:
         monkeypatch.setitem(chart_catalog._CATALOG, "degenerating", lambda: ChartMetric(
             dim=2, g=lambda x: np.diag([1.0, 1.0 - x[0]]), dg=lambda x: np.zeros((2, 2, 2)),
             kappa=lambda x: 1.0, label="degenerating"))
-        scenario = scenario_by_name(f"sphere-on-plane-{kind}")
+        scenario = scenario_by_name({"geodesic": "sphere-on-plane-geodesic",
+                                     "bvp": "sphere-on-plane-bvp",
+                                     "pendulum-2d": "sphere-on-plane-pendulum",
+                                     "rn-roll": "paraboloid-magnetic-roll"}[kind])
         scenario.update(chart="degenerating", x=[0.8, 0.0], T=1.0, **start)
         path = tmp_path / "degenerating.json"
         path.write_text(json.dumps(scenario))
@@ -432,3 +437,38 @@ class TestTracedNames:
         for modname, clsname, attr, _ in tables["METHODS"]:
             cls = getattr(importlib.import_module(modname), clsname)
             assert inspect.isfunction(vars(cls).get(attr)), (modname, clsname, attr)
+
+    def test_benchmark_tracer_installs_and_restores(self):
+        # The tracer's own lookups, solve_ivp's included, succeed; a traced call
+        # records a span, and uninstalling puts every original object back.
+        import importlib.util
+        import sys
+
+        import rollgeo.geometry
+
+        path = Path(__file__).parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+
+        def bindings():
+            """The identity of every module global and class member of the library."""
+            out = {}
+            for name, mod in list(sys.modules.items()):
+                if name == "rollgeo" or name.startswith("rollgeo."):
+                    for attr, value in vars(mod).items():
+                        out[name, attr] = id(value)
+                        if isinstance(value, type):
+                            out.update({(name, attr, key): id(member)
+                                        for key, member in vars(value).items()})
+            return out
+
+        before = bindings()
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            rollgeo.geometry.christoffel(chart_catalog.sphere(1.0), np.array([1.0, 0.0]))
+            assert tracer.totals()["geometry.christoffel"][0] == 1
+        finally:
+            tracer.uninstall()
+        assert bindings() == before

@@ -34,7 +34,8 @@ from rollgeo.geodesics import (
     vtilde_symmetry_check,
 )
 from rollgeo.geometry import (MetricJet, christoffel, curvature_form_from_lowered,
-                              gauss_curvature, orthonormal_frame_at, riemann)
+                              gauss_curvature, orthonormal_frame_at, riemann,
+                              surface_kappa_rate, surface_rate)
 from rollgeo.rolling import (aligned_configuration, develop, develop_layout,
                              noslip_notwist_residual)
 from rollgeo.submersion import canonical_layout, force_layout
@@ -259,10 +260,12 @@ class TestRightHandSide:
             assert np.abs(got[f] - want[:, side]).max() <= 1e-14 * (1.0 + np.abs(want).max())
 
     @pytest.mark.parametrize("x0", [1.0, 1.2], ids=["singular", "indefinite"])
-    def test_degenerate_metric_gives_non_finite_rates(self, x0):
+    def test_degenerate_metric_gives_non_finite_rates(self, x0, monkeypatch):
         # g = diag(1, 1 - x_0) has det g = 0 at x_0 = 1 and det g < 0 past it:
         # the kernel returns inf or nan there, for the integrator to reject,
-        # and leaves the other rows of a stack alone
+        # and leaves the other rows of a stack alone; so do the reduced and
+        # flat-target right-hand sides, and the reduced one at an infinite or
+        # undefined angle
         def dg(x):
             out = np.zeros((2, 2, 2))
             out[0, 1, 1] = -1.0
@@ -277,6 +280,25 @@ class TestRightHandSide:
         out = geodesic_rhs(chart, PLANE, 0.0, np.array([good, bad]))
         assert not np.isfinite(out[1]).all()
         assert np.array_equal(out[0], geodesic_rhs(chart, PLANE, 0.0, good))
+
+        cfg = aligned_configuration(chart, PLANE, np.array([0.5, 0.0]), np.zeros(2))
+        reduced = _captured_rhs(monkeypatch, rollgeo.geodesics, lambda: reduce_2d(
+            Pendulum2DState(cfg=cfg, theta=0.3, L=0.4, b1=0.2, b2=0.1, a=1.0), 1.0))
+        z = PENDULUM_LAYOUT.pack(x=cfg.x, xhat=cfg.xhat, f=cfg.f, fhat=cfg.fhat, theta=0.3,
+                                 L=0.4, b1=0.2, b2=0.1, C=0.0, S=0.0)
+        flat = _captured_rhs(monkeypatch, rollgeo.geodesics, lambda: rn_rolling_flow(
+            chart, cfg.x, cfg.f, np.array([0.8, 0.6]), np.array([0.2, -0.1]), 0.3 * E2, 1.0))
+        w = rn_layout(2).pack(x=cfg.x, f=cfg.f, u=np.array([0.8, 0.6]), w=np.zeros(2))
+        for rhs, layout, state, slot, value in (
+                (reduced, PENDULUM_LAYOUT, z, "x", (x0, 0.0)),
+                (reduced, PENDULUM_LAYOUT, z, "theta", np.inf),
+                (reduced, PENDULUM_LAYOUT, z, "theta", -np.inf),
+                (reduced, PENDULUM_LAYOUT, z, "theta", np.nan),
+                (flat, rn_layout(2), w, "x", (x0, 0.0))):
+            assert np.isfinite(rhs(0.0, state)).all()
+            bad = state.copy()
+            bad[layout.slices[slot]] = value
+            assert not np.isfinite(rhs(0.0, bad)).all(), (slot, value)
 
 
 # The 2D charts of the surface-kernel oracles: the catalog's six, plus one
@@ -373,7 +395,7 @@ def _captured_rhs(monkeypatch, module, start):
 
 
 class TestSurfaceKernel:
-    """``MetricJet`` and the flows built on it against the tensor route."""
+    """The surface kernel, ``MetricJet`` and their flows against the tensor route."""
 
     @pytest.mark.parametrize("names", _KERNEL_PAIRS, ids=_PAIR_IDS)
     def test_kernel_matches_tensor_route(self, names):
@@ -381,16 +403,26 @@ class TestSurfaceKernel:
         rng = np.random.default_rng(3)
         for _ in range(3):
             xs = np.array([_random_point(c, rng) for c in surfaces])
-            fs = np.array([_random_frame(c, x, rng) for c, x in zip(surfaces, xs)])
-            xdot = rng.normal(size=(2, 2))
-            jet = MetricJet(surfaces, xs)
-            fdot, kappa, kappa_rate = jet.frame_rate(xdot, fs), jet.kappa, jet.kappa_rate(xdot)
+            fs = np.array([_random_frame(c, x, rng) @ rng.normal(size=(2, 2))
+                           for c, x in zip(surfaces, xs)])
+            us = rng.normal(size=(2, 2))
+            xdot = (fs @ us[:, :, None])[:, :, 0]
+            for i, c in enumerate(surfaces):
+                x, f = xs[i], fs[i]
+                *got_xdot, e00, e01, e10, e11, kappa, k = surface_rate(
+                    c, x, *f.ravel().tolist(), *us[i].tolist())
+                kappa_want = gauss_curvature(c, x)
+                rho = np.sqrt(np.linalg.det(c.metric(x)))
+                assert _close(np.array(got_xdot), xdot[i])
+                assert _close(np.array([[e00, e01], [e10, e11]]),
+                              _tensor_frame_rate(c, x, xdot[i], f))
+                assert _close(kappa, kappa_want)
+                assert _close(k, kappa_want * rho * np.linalg.det(f))
+                assert _close(surface_kappa_rate(c, x, *xdot[i].tolist()),
+                              _tensor_kappa_rate(c, x, xdot[i]))
+            fdot = MetricJet(surfaces, xs).frame_rate(xdot, fs)
             for i, c in enumerate(surfaces):
                 assert _close(fdot[i], _tensor_frame_rate(c, xs[i], xdot[i], fs[i]))
-                assert _close(kappa[i], gauss_curvature(c, xs[i]))
-                assert _close(kappa_rate[i], _tensor_kappa_rate(c, xs[i], xdot[i]))
-                assert jet.rho[i] == pytest.approx(np.sqrt(np.linalg.det(c.metric(xs[i]))),
-                                                   rel=1e-12)
 
     @pytest.mark.parametrize("names", _KERNEL_PAIRS, ids=_PAIR_IDS)
     def test_reduced_rhs_matches_tensor_route(self, names, monkeypatch):

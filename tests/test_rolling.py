@@ -128,6 +128,25 @@ class TestSoProjection:
         with pytest.raises(FrameError):
             so_projection(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2))
 
+    @pytest.mark.parametrize("T, chunks", [(0.25, 1), (2.0, 4)])
+    def test_frames_reprojected_only_between_chunks(self, T, chunks, monkeypatch):
+        # each boundary between two chunks reprojects both frames; after the
+        # last chunk a correction would reach no node, so none is made or counted
+        calls = []
+
+        def counted(f, g):
+            calls.append(f)
+            return so_projection(f, g)
+
+        monkeypatch.setattr(rollgeo.rolling, "so_projection", counted)
+        s0 = RollingGeodesicState(cfg=_sphere_on_plane(), u=np.array([0.0, 1.0]),
+                                  v=np.array([0.05, 0.02]), lam=0.1 * E2)
+        meta = integrate_geodesic(s0, T).traj.meta
+        assert meta["chunks"] == chunks
+        assert len(calls) == 2 * (chunks - 1)
+        if chunks == 1:
+            assert meta["max_reprojection"] == 0.0
+
 
 class TestDevelop:
     def test_plane_on_plane_translation(self):
